@@ -62,7 +62,6 @@ from .gkm import (
 )
 from .abfp import (
     FormalityVerdict,
-    face_rank,
     face_betti_polynomial,
     compute_A,
     inter_polynomial,

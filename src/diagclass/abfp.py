@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -23,16 +22,17 @@ from .graphs import (
     ForbiddenWitness,
     Graph,
     GraphInputError,
-    canonical_form,
     induced_subgraph,
 )
 from .hessenberg import (
     IndifferenceCertificate,
     betti_polynomial_hessenberg,
     recognize_indifference,
+    staircase_key,
 )
 from .homology import betti_numbers
 from .linalg import (
+    DEFAULT_MEM_BUDGET,
     ComputationBudgetError,
     SparseMatrix,
     solve_affine_system,
@@ -41,6 +41,7 @@ from .polynomials import Polynomial, poly_divide_exact
 from .posets import (
     Clustering,
     all_clusterings,
+    assignment_multiplicity,
     cluster_permutohedron,
     clustering_rank,
     order_complex,
@@ -58,17 +59,8 @@ class NonIndifferenceFaceError(GraphInputError):
         super().__init__(f"cluster {sorted(block)} is not an indifference graph")
 
 
-def face_rank(c: Clustering, n: int) -> int:
-    """Effective-torus rank of the face: n minus the number of blocks."""
-    return clustering_rank(c, n)
-
-
-def _block_graph(g: Graph, block: frozenset[int]) -> Graph:
-    return induced_subgraph(g, block)
-
-
 def _block_certificate(g: Graph, block: frozenset[int]) -> IndifferenceCertificate:
-    sub = _block_graph(g, block)
+    sub = induced_subgraph(g, block)
     result = recognize_indifference(sub)
     if isinstance(result, ForbiddenWitness):
         raise NonIndifferenceFaceError(block)
@@ -84,10 +76,11 @@ def face_betti_polynomial(c: Clustering, g: Graph) -> Polynomial:
     return out
 
 
+# Keyed by isomorphism class: staircase_key for A, the witness shape and
+# the budget for the evidence (every evidence field is an isomorphism
+# invariant of the witness's induced graph).
 _A_MEMO: dict = {}
-_A_LOCK = threading.Lock()
 _EVIDENCE_MEMO: dict = {}
-_EVIDENCE_LOCK = threading.Lock()
 
 
 def compute_A(g: Graph) -> Polynomial:
@@ -96,22 +89,19 @@ def compute_A(g: Graph) -> Polynomial:
     Requires a connected indifference graph; memoized per isomorphism
     class.  Single-vertex base case: A = 1.
     """
-    key = canonical_form(g)
-    with _A_LOCK:
-        cached = _A_MEMO.get(key)
-    if cached is not None:
-        return cached
-    result = recognize_indifference(g) if g.n > 1 else None
+    if g.n == 1:
+        return Polynomial.one()
+    result = recognize_indifference(g)
     if isinstance(result, ForbiddenWitness):
         raise GraphInputError("compute_A requires an indifference graph")
-    if g.n == 1:
-        a = Polynomial.one()
-    else:
-        B = betti_polynomial_hessenberg(result.h)
-        inter = inter_polynomial(g)
-        a = poly_divide_exact(B - inter, T_MINUS_1 ** (g.n - 1))
-    with _A_LOCK:
-        _A_MEMO[key] = a
+    key = staircase_key(result.h)
+    cached = _A_MEMO.get(key)
+    if cached is not None:
+        return cached
+    B = betti_polynomial_hessenberg(result.h)
+    inter = inter_polynomial(g)
+    a = poly_divide_exact(B - inter, T_MINUS_1 ** (g.n - 1))
+    _A_MEMO[key] = a
     return a
 
 
@@ -119,12 +109,8 @@ def _face_A(c: Clustering, g: Graph) -> Polynomial:
     """A of a product face: product of the factors' A polynomials."""
     out = Polynomial.one()
     for block in sorted(c, key=min):
-        out = out * compute_A(_block_graph(g, block))
+        out = out * compute_A(induced_subgraph(g, block))
     return out
-
-
-def assignment_multiplicity(c: Clustering, n: int) -> int:
-    return math.factorial(n) // math.prod(math.factorial(len(b)) for b in c)
 
 
 def inter_polynomial(g: Graph) -> Polynomial:
@@ -136,7 +122,7 @@ def inter_polynomial(g: Graph) -> Polynomial:
     for c in all_clusterings(g):
         if len(c) == 1:
             continue  # the top face is the manifold itself, not a proper face
-        term = _face_A(c, g) * (T_MINUS_1 ** face_rank(c, g.n))
+        term = _face_A(c, g) * (T_MINUS_1 ** clustering_rank(c, g.n))
         out = out + assignment_multiplicity(c, g.n) * term
     return out
 
@@ -219,7 +205,6 @@ class FormalityVerdict:
     certificate: Optional[IndifferenceCertificate] = None
     witness: Optional[ForbiddenWitness] = None
     evidence: dict = field(default_factory=dict)
-    artifacts: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         payload = {
@@ -238,11 +223,10 @@ class FormalityVerdict:
                 "vertices": sorted(self.witness.vertices),
             }
         payload["evidence"] = self.evidence
-        payload["artifacts"] = self.artifacts
         return json.dumps(payload)
 
 
-def _skeleton_homology_evidence(wg: Graph) -> Optional[dict]:
+def _skeleton_homology_evidence(wg: Graph, mem_budget: int) -> Optional[dict]:
     """Strategy (a): nonzero reduced H1 of the rank-2 skeleton of the
     witness's cluster-permutohedron.
 
@@ -252,7 +236,7 @@ def _skeleton_homology_evidence(wg: Graph) -> Optional[dict]:
     """
     cp = cluster_permutohedron(wg, max_rank=2)
     sk = skeleton(cp, 2)
-    betti = betti_numbers(order_complex(sk), coeff="gf2")
+    betti = betti_numbers(order_complex(sk), coeff="gf2", mem_budget=mem_budget)
     h1 = betti[1] if len(betti) > 1 else 0
     if h1 == 0:
         return None
@@ -264,12 +248,11 @@ def _skeleton_homology_evidence(wg: Graph) -> Optional[dict]:
     }
 
 
-def _total_betti_evidence(wg: Graph, mem_budget: Optional[int]) -> Optional[dict]:
+def _total_betti_evidence(wg: Graph, mem_budget: int) -> Optional[dict]:
     """Strategy (b): pipeline total Betti number differs from n!."""
     from .gkm import gkm_total_betti
 
-    kw = {"mem_budget": mem_budget} if mem_budget is not None else {}
-    report = gkm_total_betti(wg, field="gf2", **kw)
+    report = gkm_total_betti(wg, field="gf2", mem_budget=mem_budget)
     fixed_points = math.factorial(wg.n)
     if report.total is not None and report.total != fixed_points:
         return {
@@ -292,13 +275,18 @@ def _total_betti_evidence(wg: Graph, mem_budget: Optional[int]) -> Optional[dict
     return None
 
 
-def _abfp_evidence(wg: Graph, mem_budget: Optional[int]) -> Optional[dict]:
+def _abfp_evidence(wg: Graph, mem_budget: int) -> Optional[dict]:
     """Strategy (c): the consistency test contradicts a computed beta4."""
-    from .gkm import build_gkm_graph, equivariant_betti, ordinary_betti_from_equivariant
+    from .gkm import (
+        build_gkm_graph,
+        check_kernel_budget,
+        equivariant_betti,
+        ordinary_betti_from_equivariant,
+    )
 
-    kw = {"mem_budget": mem_budget} if mem_budget is not None else {}
+    check_kernel_budget(wg, 2, mem_budget)
     gg = build_gkm_graph(wg)
-    dims = [equivariant_betti(gg, i, field="gf2", **kw) for i in range(3)]
+    dims = [equivariant_betti(gg, i, field="gf2", mem_budget=mem_budget) for i in range(3)]
     low = ordinary_betti_from_equivariant(dims, wg.n)
     result = abfp_consistency_test(wg, low[1], low[2])
     if result.consistent:
@@ -312,11 +300,8 @@ def _abfp_evidence(wg: Graph, mem_budget: Optional[int]) -> Optional[dict]:
     }
 
 
-DEFAULT_STRATEGY_BUDGET = 2 * 1024**3
-
-
 def formality_report(
-    g: Graph, mem_budget: int = DEFAULT_STRATEGY_BUDGET
+    g: Graph, mem_budget: int = DEFAULT_MEM_BUDGET
 ) -> FormalityVerdict:
     """Decide diagonalizability: Formal with a staircase certificate, or
     NonFormal with machine-checkable numeric evidence on the forbidden
@@ -336,29 +321,24 @@ def formality_report(
         return FormalityVerdict(g, "formal", certificate=result)
     witness = result
     wg = induced_subgraph(g, witness.vertices)
-    heavy = (
-        lambda x: _total_betti_evidence(x, mem_budget),
-        lambda x: _abfp_evidence(x, mem_budget),
-    )
+    cache_key = (witness.kind, witness.length, mem_budget)
+    cached = _EVIDENCE_MEMO.get(cache_key)
+    if cached is not None:
+        return FormalityVerdict(g, "nonformal", witness=witness, evidence=cached)
+    heavy = (_total_betti_evidence, _abfp_evidence)
     if witness.kind in ("claw", "cycle"):
         strategies = (_skeleton_homology_evidence, *heavy)
     else:
         strategies = (*heavy, _skeleton_homology_evidence)
-    cache_key = (canonical_form(wg), mem_budget)
-    with _EVIDENCE_LOCK:
-        cached = _EVIDENCE_MEMO.get(cache_key)
-    if cached is not None:
-        return FormalityVerdict(g, "nonformal", witness=witness, evidence=cached)
     budget_hit = False
     for strategy in strategies:
         try:
-            evidence = strategy(wg)
+            evidence = strategy(wg, mem_budget)
         except ComputationBudgetError:
             budget_hit = True
             continue
         if evidence is not None:
-            with _EVIDENCE_LOCK:
-                _EVIDENCE_MEMO[cache_key] = evidence
+            _EVIDENCE_MEMO[cache_key] = evidence
             return FormalityVerdict(
                 g, "nonformal", witness=witness, evidence=evidence
             )

@@ -14,11 +14,7 @@ import sys
 import click
 
 from . import __version__
-from .abfp import (
-    DEFAULT_STRATEGY_BUDGET,
-    compute_A,
-    formality_report,
-)
+from .abfp import compute_A, formality_report
 from .gkm import build_gkm_graph, gkm_total_betti
 from .graphs import Graph, GraphInputError, connected_graphs_up_to_iso, parse_graph
 from .hessenberg import (
@@ -28,7 +24,7 @@ from .hessenberg import (
     recognize_indifference,
 )
 from .homology import homology_report
-from .linalg import ComputationBudgetError, RankCertificationError
+from .linalg import DEFAULT_MEM_BUDGET, ComputationBudgetError, RankCertificationError
 from .posets import cluster_permutohedron, graphicahedron, order_complex, skeleton
 
 BUDGET_ENV = "DIAGCLASS_MEM_BUDGET"
@@ -53,14 +49,19 @@ def _content_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _default_budget() -> int:
+def _budget(mem_budget: int | None) -> int:
+    """--mem-budget, else $DIAGCLASS_MEM_BUDGET, else the library default."""
+    if mem_budget is not None:
+        return mem_budget
     raw = os.environ.get(BUDGET_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_STRATEGY_BUDGET
+    if not raw:
+        return DEFAULT_MEM_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise GraphInputError(
+            f"${BUDGET_ENV} must be a whole number of bytes, got {raw!r}"
+        ) from None
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -99,7 +100,21 @@ _budget_option = click.option(
 _FIELD_NAMES = {"q": "rational", "f2": "gf2"}
 
 
-@click.group()
+class _Main(click.Group):
+    """Maps the package's errors to exit codes, for every command."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except GraphInputError as exc:
+            click.echo(f"input error: {exc}", err=True)
+            sys.exit(EXIT_INPUT)
+        except (ComputationBudgetError, RankCertificationError) as exc:
+            click.echo(f"budget exceeded: {exc}", err=True)
+            sys.exit(EXIT_BUDGET)
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main() -> None:
     """Decide whether a sparsity pattern admits a diagonalizable matrix class."""
@@ -110,12 +125,8 @@ def main() -> None:
 @_format_option
 def recognize(source: str, fmt: str) -> None:
     """Indifference-graph recognition with a certificate or witness."""
-    try:
-        g, text = _read_graph(source)
-        result = recognize_indifference(g)
-    except GraphInputError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    g, text = _read_graph(source)
+    result = recognize_indifference(g)
     report = {"config": _config_stamp(text), "n": g.n}
     if isinstance(result, IndifferenceCertificate):
         report.update(
@@ -138,13 +149,9 @@ def recognize(source: str, fmt: str) -> None:
 @_format_option
 def formality(source: str, mem_budget: int | None, fmt: str) -> None:
     """Diagonalizability / equivariant-formality verdict."""
-    budget = mem_budget if mem_budget is not None else _default_budget()
-    try:
-        g, text = _read_graph(source)
-        verdict = formality_report(g, mem_budget=budget)
-    except GraphInputError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    budget = _budget(mem_budget)
+    g, text = _read_graph(source)
+    verdict = formality_report(g, mem_budget=budget)
     report = json.loads(verdict.to_json())
     report["config"] = _config_stamp(text, mem_budget=budget)
     _emit(report, fmt)
@@ -157,8 +164,7 @@ def formality(source: str, mem_budget: int | None, fmt: str) -> None:
 def batch_hessenberg(max_n: int) -> None:
     """CSV of (graph, h, B, A) for all connected indifference graphs."""
     if max_n > 7:
-        click.echo("input error: --max-n capped at 7", err=True)
-        sys.exit(EXIT_INPUT)
+        raise GraphInputError("--max-n capped at 7")
     click.echo("n,edges,h,B,A")
     for n in range(1, max_n + 1):
         for g in connected_graphs_up_to_iso(n):
@@ -190,27 +196,17 @@ def clusterperm(
     fmt: str,
 ) -> None:
     """Cluster-permutohedron / graphicahedron homology of a skeleton."""
-    try:
-        g, text = _read_graph(source)
-        build = cluster_permutohedron if poset == "cluster" else graphicahedron
-        p = build(g, max_rank=skeleton_rank)
-        if skeleton_rank is not None:
-            p = skeleton(p, skeleton_rank)
-        sc = order_complex(p)
-    except GraphInputError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    except ComputationBudgetError as exc:
-        click.echo(f"budget exceeded: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
-    try:
-        if coeff == "z":
-            report = homology_report(sc, integral=True)
-        else:
-            report = homology_report(sc, coeff=_FIELD_NAMES[coeff])
-    except (ComputationBudgetError, RankCertificationError) as exc:
-        click.echo(f"budget exceeded: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
+    budget = _budget(mem_budget)
+    g, text = _read_graph(source)
+    build = cluster_permutohedron if poset == "cluster" else graphicahedron
+    p = build(g, max_rank=skeleton_rank)
+    if skeleton_rank is not None:
+        p = skeleton(p, skeleton_rank)
+    sc = order_complex(p)
+    if coeff == "z":
+        report = homology_report(sc, integral=True)
+    else:
+        report = homology_report(sc, coeff=_FIELD_NAMES[coeff], mem_budget=budget)
     report["poset"] = poset
     report["elements"] = len(p)
     report["skeleton"] = skeleton_rank
@@ -225,17 +221,9 @@ def clusterperm(
 @_format_option
 def gkm(source: str, field: str, mem_budget: int | None, fmt: str) -> None:
     """Moment-graph Betti report (equivariant dims, expansion, total)."""
-    budget = mem_budget if mem_budget is not None else _default_budget()
-    try:
-        g, text = _read_graph(source)
-    except GraphInputError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    try:
-        rep = gkm_total_betti(g, field=_FIELD_NAMES[field], mem_budget=budget)
-    except (ComputationBudgetError, RankCertificationError) as exc:
-        click.echo(f"budget exceeded: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
+    budget = _budget(mem_budget)
+    g, text = _read_graph(source)
+    rep = gkm_total_betti(g, field=_FIELD_NAMES[field], mem_budget=budget)
     report = json.loads(rep.to_json())
     report["config"] = _config_stamp(text, field=field, mem_budget=budget)
     _emit(report, fmt)
@@ -248,12 +236,8 @@ def gkm(source: str, field: str, mem_budget: int | None, fmt: str) -> None:
 @_format_option
 def adi_cmd(source: str, fmt: str) -> None:
     """Minimum number of edge additions to reach an indifference graph."""
-    try:
-        g, text = _read_graph(source)
-        value, added = adi(g)
-    except GraphInputError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    g, text = _read_graph(source)
+    value, added = adi(g)
     _emit(
         {
             "config": _config_stamp(text),
@@ -271,22 +255,15 @@ def adi_cmd(source: str, fmt: str) -> None:
 @click.option("--skeleton", "skeleton_rank", type=int, default=None)
 def export_dot(source: str, kind: str, skeleton_rank: int | None) -> None:
     """Graphviz export of a Hasse diagram or the moment graph."""
-    try:
-        g, _ = _read_graph(source)
-        if kind == "gkm":
-            click.echo(build_gkm_graph(g).to_dot())
-            return
-        build = cluster_permutohedron if kind == "cluster" else graphicahedron
-        p = build(g, max_rank=skeleton_rank)
-        if skeleton_rank is not None:
-            p = skeleton(p, skeleton_rank)
-        click.echo(p.to_dot())
-    except GraphInputError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    except ComputationBudgetError as exc:
-        click.echo(f"budget exceeded: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
+    g, _ = _read_graph(source)
+    if kind == "gkm":
+        click.echo(build_gkm_graph(g).to_dot())
+        return
+    build = cluster_permutohedron if kind == "cluster" else graphicahedron
+    p = build(g, max_rank=skeleton_rank)
+    if skeleton_rank is not None:
+        p = skeleton(p, skeleton_rank)
+    click.echo(p.to_dot())
 
 
 if __name__ == "__main__":

@@ -241,6 +241,19 @@ def kernel_matrix_bytes(n: int, pattern_edges: int, degree: int) -> int:
     return rows * ((cols + 63) // 64) * 8
 
 
+def check_kernel_budget(g: Graph, max_degree: int, mem_budget: int) -> None:
+    """Refuse, before the n! moment graph is built, if any of L_0..L_max_degree
+    would not fit the budget when bit-packed."""
+    for i in range(max_degree + 1):
+        need = kernel_matrix_bytes(g.n, g.num_edges, i)
+        if need > mem_budget:
+            rows, cols = kernel_matrix_shape(g.n, g.num_edges, i)
+            raise ComputationBudgetError(
+                f"L_{i} needs a {rows}x{cols} matrix "
+                f"({need} bytes packed), budget {mem_budget}"
+            )
+
+
 def known_betti_vector(g: Graph) -> Optional[tuple[int, ...]]:
     """Full Betti vector (all cohomological degrees, odd included) for
     patterns whose isospectral space has published homology independent
@@ -310,14 +323,7 @@ def gkm_total_betti(
     """
     top = g.num_edges
     half = (top + 1) // 2
-    for i in range(half + 1):
-        need = kernel_matrix_bytes(g.n, top, i)
-        if need > mem_budget:
-            rows, cols = kernel_matrix_shape(g.n, top, i)
-            raise ComputationBudgetError(
-                f"L_{i} needs a {rows}x{cols} matrix "
-                f"({need} bytes packed), budget {mem_budget}"
-            )
+    check_kernel_budget(g, half, mem_budget)
     gg = build_gkm_graph(g)
     dims = [
         equivariant_betti(gg, i, field=field, mem_budget=mem_budget, seed=seed)

@@ -131,7 +131,8 @@ def recognize_indifference(
     ordering = _find_indifference_ordering(g)
     if ordering is None:
         witness = find_forbidden_induced(g)
-        assert witness is not None, "no ordering but no forbidden subgraph"
+        if witness is None:
+            raise RuntimeError("no staircase ordering but no forbidden induced subgraph")
         return witness
     label = {v: k for k, v in enumerate(ordering, start=1)}
     relabelled = make_graph(g.n, [(label[i], label[j]) for i, j in g.edges])
@@ -140,6 +141,24 @@ def recognize_indifference(
         later = [j for j in range(i + 1, g.n + 1) if relabelled.has_edge(i, j)]
         h.append(max(later) if later else i)
     return IndifferenceCertificate(ordering, HessenbergFunction(tuple(h)))
+
+
+def staircase_key(h: HessenbergFunction) -> tuple[int, ...]:
+    """min(h, h of the reversed ordering), a complete isomorphism invariant.
+
+    By Roberts' theorem a connected indifference graph has one staircase
+    ordering up to reversal and reordering of twins, and twins do not
+    change h; so two connected indifference graphs are isomorphic exactly
+    when their keys are equal.  Reversal sends edge {i, j} to
+    {n+1-j, n+1-i}, so the reversed function is
+    h'(a) = n + 1 - min{i : h(i) >= n + 1 - a}.
+    """
+    n = h.n
+    rev = tuple(
+        n + 1 - next(i for i in range(1, n + 1) if h.h[i - 1] >= n + 1 - a)
+        for a in range(1, n + 1)
+    )
+    return min(h.h, rev)
 
 
 def is_indifference(g: Graph) -> bool:

@@ -13,7 +13,13 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import SparseMatrix, rank_gf2, rank_rational, smith_normal_form
+from .linalg import (
+    DEFAULT_MEM_BUDGET,
+    SparseMatrix,
+    rank_gf2,
+    rank_rational,
+    smith_normal_form,
+)
 from .posets import SimplicialComplex
 
 COEFF_FIELDS = ("gf2", "rational")
@@ -39,18 +45,21 @@ def chain_complex(sc: SimplicialComplex) -> list[SparseMatrix]:
     return [boundary_matrix(sc, d) for d in range(sc.dim + 1)]
 
 
-def _ranks(sc: SimplicialComplex, coeff: str, **kw) -> list[int]:
+def _ranks(sc: SimplicialComplex, coeff: str, mem_budget: int) -> list[int]:
     rank_fn = {"gf2": rank_gf2, "rational": rank_rational}[coeff]
     out = []
     for d in range(sc.dim + 1):
         m = boundary_matrix(sc, d)
-        out.append(rank_fn(m, **kw) if m.cols and m.rows else 0)
+        out.append(rank_fn(m, mem_budget=mem_budget) if m.cols and m.rows else 0)
     out.append(0)  # rank of the zero map above top dimension
     return out
 
 
 def betti_numbers(
-    sc: SimplicialComplex, coeff: str = "rational", reduced: bool = True, **kw
+    sc: SimplicialComplex,
+    coeff: str = "rational",
+    reduced: bool = True,
+    mem_budget: int = DEFAULT_MEM_BUDGET,
 ) -> list[int]:
     """Reduced (default) or unreduced Betti numbers in each dimension.
 
@@ -61,7 +70,7 @@ def betti_numbers(
         raise ValueError(f"coeff must be one of {COEFF_FIELDS}")
     if not sc.faces or not sc.faces[0]:
         return []
-    r = _ranks(sc, coeff, **kw)
+    r = _ranks(sc, coeff, mem_budget)
     betti = [len(sc.faces[d]) - r[d] - r[d + 1] for d in range(sc.dim + 1)]
     if not reduced:
         betti[0] += 1  # undo the augmentation
@@ -112,9 +121,13 @@ def homology_report(
     coeff: str = "rational",
     reduced: bool = True,
     integral: bool = False,
-    **kw,
+    mem_budget: int = DEFAULT_MEM_BUDGET,
 ) -> dict:
-    """JSON-ready summary of face counts, Betti numbers, Euler characteristic."""
+    """JSON-ready summary of face counts, Betti numbers, Euler characteristic.
+
+    The budget bounds the rank computations; integral homology is bounded
+    by the Smith normal form's size cap instead.
+    """
     report = {
         "coeff": "integer" if integral else coeff,
         "reduced": reduced,
@@ -122,12 +135,14 @@ def homology_report(
         "euler_characteristic": sc.euler_characteristic(),
     }
     if integral:
-        ih = integral_homology(sc, reduced=reduced, **kw)
+        ih = integral_homology(sc, reduced=reduced)
         report["betti"] = list(ih.free_rank)
         report["torsion"] = [list(t) for t in ih.torsion]
         report["homology"] = [ih.describe(d) for d in range(len(ih.free_rank))]
     else:
-        report["betti"] = betti_numbers(sc, coeff=coeff, reduced=reduced, **kw)
+        report["betti"] = betti_numbers(
+            sc, coeff=coeff, reduced=reduced, mem_budget=mem_budget
+        )
     return report
 
 

@@ -1,12 +1,11 @@
 """Exact sparse linear algebra: GF(2) rank, rank over Q, Smith normal
 form over Z, and exact affine systems.
 
-GF(2) ranks delegate to a bit-packed elimination kernel (compiled when
-available, numpy fallback otherwise).  Rational ranks use multi-modular
-computation at word-size primes with agreement certification; very
-rectangular sparse inputs are first compressed by a random row sketch,
-which can only lower the rank, so agreement across independent
-sketches/primes certifies the result.
+GF(2) ranks use a bit-packed elimination kernel vectorised with numpy.
+Rational ranks use multi-modular computation at word-size primes with
+agreement certification; very rectangular sparse inputs are first
+compressed by a random row sketch, which can only lower the rank, so
+agreement across independent sketches/primes certifies the result.
 """
 
 from __future__ import annotations
@@ -17,14 +16,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-try:  # compiled kernel, with pure-python fallback selected at import
-    from ._gf2_native import packed_rank as _packed_rank
-
-    HAVE_NATIVE_GF2 = True
-except ImportError:  # pragma: no cover - depends on build environment
-    from ._gf2_fallback import packed_rank as _packed_rank
-
-    HAVE_NATIVE_GF2 = False
+# There is one GF(2) kernel, written with numpy; the constant stays for
+# tools that record which kernel produced a measurement.
+HAVE_NATIVE_GF2 = False
 
 
 class ComputationBudgetError(RuntimeError):
@@ -35,7 +29,7 @@ class RankCertificationError(RuntimeError):
     """Modular ranks kept disagreeing beyond the retry budget."""
 
 
-DEFAULT_MEM_BUDGET = 12 * 1024**3
+DEFAULT_MEM_BUDGET = 2 * 1024**3
 
 # Primes in (2^21, 2^22): small enough that blocked float64 GEMM with
 # panel width 64 stays exact (64 * p^2 < 2^53), large enough that an
@@ -98,13 +92,6 @@ class SparseMatrix:
             out[int(r)][int(c)] = int(v)
         return out
 
-    def to_coordinate_text(self) -> str:
-        lines = [f"{self.rows} {self.cols} {self.nnz}"]
-        order = np.lexsort((self.col, self.row))
-        for k in order:
-            lines.append(f"{int(self.row[k])} {int(self.col[k])} {int(self.val[k])}")
-        return "\n".join(lines) + "\n"
-
 
 # -- GF(2) ------------------------------------------------------------
 
@@ -121,6 +108,33 @@ def pack_gf2(m: SparseMatrix) -> np.ndarray:
     return packed
 
 
+def _packed_rank(m: np.ndarray, ncols: int) -> int:
+    """In-place forward elimination of a bit-packed matrix; returns the rank.
+
+    Per-pivot work is vectorised over the rows that carry the pivot bit.
+    """
+    nrows = m.shape[0]
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        w, b = divmod(col, 64)
+        colbits = (m[r:, w] >> np.uint64(b)) & np.uint64(1)
+        nz = np.nonzero(colbits)[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            tmp = m[r, w:].copy()
+            m[r, w:] = m[piv, w:]
+            m[piv, w:] = tmp
+        rows = r + nz[1:]
+        if rows.size:
+            m[rows[:, None], np.arange(w, m.shape[1])[None, :]] ^= m[r, w:][None, :]
+        r += 1
+    return r
+
+
 def rank_gf2(m: SparseMatrix, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
     """Exact rank over the 2-element field."""
     nwords = (m.cols + 63) // 64
@@ -130,7 +144,7 @@ def rank_gf2(m: SparseMatrix, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
             f"packed GF(2) matrix needs {need} bytes, budget {mem_budget}"
         )
     packed = pack_gf2(m)
-    return int(_packed_rank(packed, m.cols))
+    return _packed_rank(packed, m.cols)
 
 
 # -- rank mod p -------------------------------------------------------

@@ -7,7 +7,7 @@ coefficient tuple.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class Polynomial:
@@ -198,7 +198,3 @@ def series_divide_geometric(p: Polynomial, k: int, r: int) -> tuple[int, ...]:
             acc -= denom[j] * out[d - j]
         out[d] = acc
     return tuple(out)
-
-
-def polynomial_from_coeffs(coeffs: Sequence[int]) -> Polynomial:
-    return Polynomial(coeffs)

@@ -32,14 +32,6 @@ def clustering_rank(c: Clustering, n: int) -> int:
     return n - len(c)
 
 
-def is_connected_partition(g: Graph, c: Clustering) -> bool:
-    from .graphs import induced_subgraph
-
-    return all(
-        len(block) == 1 or induced_subgraph(g, block).is_connected() for block in c
-    )
-
-
 def all_clusterings(g: Graph) -> list[Clustering]:
     """All partitions of the vertices into connected blocks (BFS by merges)."""
     bottom = discrete_clustering(g.n)
@@ -65,6 +57,11 @@ def all_clusterings(g: Graph) -> list[Clustering]:
 
 def merge_covers(c: Clustering) -> list[tuple[frozenset[int], frozenset[int]]]:
     return list(combinations(sorted(c, key=min), 2))
+
+
+def assignment_multiplicity(c: Clustering, n: int) -> int:
+    """Number of assignments of labels 1..n to the blocks of c."""
+    return math.factorial(n) // math.prod(math.factorial(len(b)) for b in c)
 
 
 def assignments_for(c: Clustering, n: int) -> list[Assignment]:
@@ -241,38 +238,16 @@ def cluster_permutohedron(
     cls = all_clusterings(g)
     if max_rank is not None:
         cls = [c for c in cls if clustering_rank(c, g.n) <= max_rank]
-    total = 0
-    for c in cls:
-        total += math.factorial(g.n) // math.prod(
-            math.factorial(len(b)) for b in c
-        )
-        if total > element_cap:
-            raise ComputationBudgetError(
-                f"cluster-permutohedron would exceed {element_cap} elements"
-            )
-    labels: list = []
-    rank: list[int] = []
-    index: dict = {}
-    for c in cls:  # all_clusterings sorts by descending block count = ascending rank
-        for a in assignments_for(c, g.n):
-            index[(c, a)] = len(labels)
-            labels.append((c, a))
-            rank.append(clustering_rank(c, g.n))
-    covers = []
     cset = set(cls)
-    for c in cls:
+    faces = []
+    for c in cls:  # all_clusterings sorts by descending block count = ascending rank
         uppers = []
         for b1, b2 in merge_covers(c):
             merged = frozenset((c - {b1, b2}) | {b1 | b2})
             if merged in cset:
-                uppers.append(merged)
-        if not uppers:
-            continue
-        for a in assignments_for(c, g.n):
-            lo = index[(c, a)]
-            for up in uppers:
-                covers.append((lo, index[(up, project_assignment(a, up))]))
-    return GradedPoset(labels=labels, rank=rank, covers=sorted(set(covers)))
+                uppers.append((merged, merged))
+        faces.append((c, c, clustering_rank(c, g.n), uppers))
+    return _assignment_poset(faces, g.n, element_cap, "cluster-permutohedron")
 
 
 def graphicahedron(
@@ -315,35 +290,47 @@ def graphicahedron(
             subsets.append((d, c, r))
     subsets.sort(key=lambda t: (len(t[0]), t[0]))
 
+    by_d = {frozenset(d): c for d, c, _ in subsets}
+    faces = []
+    for d, c, r in subsets:
+        dset = frozenset(d)
+        uppers = [
+            (dset | {e}, by_d[dset | {e}])
+            for e in edges
+            if e not in dset and dset | {e} in by_d
+        ]
+        faces.append((dset, c, r, uppers))
+    return _assignment_poset(faces, g.n, element_cap, "graphicahedron")
+
+
+def _assignment_poset(faces: list, n: int, element_cap: int, name: str) -> GradedPoset:
+    """Poset of (face key, assignment) pairs.
+
+    faces lists (key, clustering, rank, uppers) in a linear-extension
+    order, uppers being the (key, clustering) of the faces covering it.
+    An element covers another when its face covers the other's and its
+    assignment is the other's pushed forward to the coarser clustering.
+    """
+    total = 0
+    for _, c, _, _ in faces:
+        total += assignment_multiplicity(c, n)
+        if total > element_cap:
+            raise ComputationBudgetError(f"{name} would exceed {element_cap} elements")
+    assigned = [assignments_for(c, n) for _, c, _, _ in faces]
     labels: list = []
     rank: list[int] = []
     index: dict = {}
-    total = 0
-    for d, c, r in subsets:
-        total += math.factorial(g.n) // math.prod(math.factorial(len(b)) for b in c)
-        if total > element_cap:
-            raise ComputationBudgetError(
-                f"graphicahedron would exceed {element_cap} elements"
-            )
-        for a in assignments_for(c, g.n):
-            index[(frozenset(d), a)] = len(labels)
-            labels.append((frozenset(d), a))
+    for (key, _, r, _), assignments in zip(faces, assigned):
+        for a in assignments:
+            index[(key, a)] = len(labels)
+            labels.append((key, a))
             rank.append(r)
     covers = []
-    by_d = {frozenset(d): (c, r) for d, c, r in subsets}
-    for d, c, r in subsets:
-        dset = frozenset(d)
-        for e in edges:
-            if e in dset:
-                continue
-            up = dset | {e}
-            if up not in by_d:
-                continue
-            upc, _ = by_d[up]
-            for a in assignments_for(c, g.n):
-                covers.append(
-                    (index[(dset, a)], index[(up, project_assignment(a, upc))])
-                )
+    for (key, _, _, uppers), assignments in zip(faces, assigned):
+        for a in assignments:
+            lo = index[(key, a)]
+            for up_key, up_c in uppers:
+                covers.append((lo, index[(up_key, project_assignment(a, up_c))]))
     return GradedPoset(labels=labels, rank=rank, covers=sorted(set(covers)))
 
 

@@ -3,13 +3,16 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from diagclass import cli
 from diagclass.cli import BUDGET_ENV, EXIT_BUDGET, EXIT_INPUT, main
+from diagclass.linalg import RankCertificationError
 
 CLAW = "4 3\n1 2\n1 3\n1 4\n"
 PATH3 = "3 2\n1 2\n2 3\n"
 K3 = "3 3\n1 2\n1 3\n2 3\n"
 CYCLE4 = "4 4\n1 2\n2 3\n3 4\n1 4\n"
 NET = "6 6\n1 2\n1 3\n2 3\n1 4\n2 5\n3 6\n"
+CYCLE9 = "9 9\n" + "".join(f"{i} {i % 9 + 1}\n" for i in range(1, 10))
 
 
 @pytest.fixture
@@ -90,6 +93,31 @@ def test_formality_budget_env(runner, monkeypatch):
     assert out["config"]["mem_budget"] == 1000
 
 
+def test_formality_long_cycle_is_undetermined(runner):
+    res = runner.invoke(main, ["formality", "-"], input=CYCLE9)
+    assert res.exit_code == EXIT_BUDGET
+    out = json.loads(res.stdout)
+    assert out["verdict"] == "undetermined"
+    assert out["witness"]["kind"] == "Cycle(9)"
+
+
+def test_invalid_budget_env_is_input_error(runner, monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV, "2GiB")
+    res = runner.invoke(main, ["formality", "-"], input=CLAW)
+    assert res.exit_code == EXIT_INPUT
+    assert res.stderr.startswith(f"input error: ${BUDGET_ENV}")
+
+
+def test_formality_rank_certification_error_exits_budget(runner, monkeypatch):
+    def disagree(g, mem_budget):
+        raise RankCertificationError("modular ranks disagree: [3, 4, 4]")
+
+    monkeypatch.setattr(cli, "formality_report", disagree)
+    res = runner.invoke(main, ["formality", "-"], input=CLAW)
+    assert res.exit_code == EXIT_BUDGET
+    assert res.stderr == "budget exceeded: modular ranks disagree: [3, 4, 4]\n"
+
+
 def test_batch_hessenberg(runner):
     res = runner.invoke(main, ["batch-hessenberg", "--max-n", "4"])
     assert res.exit_code == 0
@@ -119,6 +147,12 @@ def test_clusterperm_integral_claw(runner):
     out = json.loads(res.output)
     assert out["betti"] == [0, 2, 1]
     assert out["torsion"] == [[], [], []]
+
+
+def test_clusterperm_budget_exit(runner):
+    res = runner.invoke(main, ["clusterperm", "-", "--mem-budget", "1000"], input=CLAW)
+    assert res.exit_code == EXIT_BUDGET
+    assert res.stderr.startswith("budget exceeded: ")
 
 
 def test_clusterperm_graphic_poset(runner):

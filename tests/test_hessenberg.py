@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 from diagclass.graphs import (
     ForbiddenWitness,
     GraphInputError,
+    canonical_form,
     connected_graphs_up_to_iso,
     find_forbidden_induced,
     girth,
     graphs_isomorphic,
     make_graph,
     named_graph,
+    relabel,
 )
 from diagclass.hessenberg import (
     HessenbergFunction,
@@ -24,6 +27,7 @@ from diagclass.hessenberg import (
     inv_h,
     is_indifference,
     recognize_indifference,
+    staircase_key,
 )
 
 
@@ -159,3 +163,37 @@ def test_adi_girth_bound_random():
         if gi != math.inf:
             assert value >= gi - 3
         done += 1
+
+
+def connected_hessenberg_functions(n):
+    """All h with i < h(i) for i < n, weakly increasing, h(n) = n."""
+
+    def rec(prefix):
+        i = len(prefix) + 1
+        if i == n:
+            yield (*prefix, n)
+            return
+        for v in range(max(prefix[-1] if prefix else 0, i + 1), n + 1):
+            yield from rec([*prefix, v])
+
+    return list(rec([]))
+
+
+def test_staircase_key_classifies_up_to_isomorphism():
+    rng = random.Random(11)
+    total = 0
+    for n in range(1, 8):
+        hs = [HessenbergFunction(h) for h in connected_hessenberg_functions(n)]
+        total += len(hs)
+        keys, canon = {}, {}
+        for h in hs:
+            g = hessenberg_to_graph(h)
+            keys[h] = staircase_key(h)
+            canon[h] = canonical_form(g)
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            cert = recognize_indifference(relabel(g, perm))
+            assert staircase_key(cert.h) == keys[h]
+        for h1, h2 in combinations(hs, 2):
+            assert (keys[h1] == keys[h2]) == (canon[h1] == canon[h2])
+    assert total == 197  # sum of Catalan(n - 1) for n <= 7
