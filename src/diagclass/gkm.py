@@ -30,6 +30,7 @@ from .linalg import (
     ComputationBudgetError,
     DEFAULT_MEM_BUDGET,
     SparseMatrix,
+    gf2_packed_bytes,
     rank_gf2,
     rank_rational,
 )
@@ -236,9 +237,8 @@ def kernel_matrix_shape(n: int, pattern_edges: int, degree: int) -> tuple[int, i
 
 
 def kernel_matrix_bytes(n: int, pattern_edges: int, degree: int) -> int:
-    """Memory for the bit-packed elimination of L_degree."""
-    rows, cols = kernel_matrix_shape(n, pattern_edges, degree)
-    return rows * ((cols + 63) // 64) * 8
+    """Bytes the budget charges the GF(2) rank of L_degree."""
+    return gf2_packed_bytes(*kernel_matrix_shape(n, pattern_edges, degree))
 
 
 def check_kernel_budget(g: Graph, max_degree: int, mem_budget: int) -> None:

@@ -306,55 +306,46 @@ def canonical_form(g: Graph) -> tuple[int, frozenset[tuple[int, int]]]:
 def connected_graphs_up_to_iso(n: int) -> list[Graph]:
     """All connected graphs on exactly n vertices, one per isomorphism class.
 
-    Edge sets are encoded as bitmasks; the canonical representative is the
-    minimum bitmask over all vertex permutations, computed vectorised over
-    every connected mask at once so n = 6 stays fast.
+    Edge sets are encoded as bitmasks over the vertex pairs in
+    lexicographic order, and a class is represented by its minimum bitmask
+    over all vertex permutations.  The classes on k vertices come from
+    those on k - 1 by adding vertex k with every nonempty neighbourhood:
+    deleting a leaf of a spanning tree leaves a connected graph, so every
+    class arises.  The minimum is computed vectorised over all candidates.
     """
     if n > 7:
         raise GraphInputError("exhaustive enumeration is limited to n <= 7")
     import numpy as np
 
-    pairs = list(combinations(range(1, n + 1), 2))
-    npairs = len(pairs)
-    pair_index = {p: b for b, p in enumerate(pairs)}
-
-    def connected_mask(mask: int) -> bool:
-        adj = [0] * (n + 1)
-        for b in range(npairs):
-            if mask >> b & 1:
-                i, j = pairs[b]
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-        seen = 1 << 1
-        frontier = [1]
-        while frontier:
-            v = frontier.pop()
-            nbrs = adj[v]
-            w = 1
-            while nbrs >> w:
-                if nbrs >> w & 1 and not seen >> w & 1:
-                    seen |= 1 << w
-                    frontier.append(w)
-                w += 1
-        return seen == ((1 << (n + 1)) - 2)
-
-    masks = np.array(
-        [m for m in range(1 << npairs) if connected_mask(m)], dtype=np.int64
-    )
-    canon = masks.copy()
-    for perm in permutations(range(1, n + 1)):
-        remapped = np.zeros_like(masks)
-        for b, (i, j) in enumerate(pairs):
-            a, c = perm[i - 1], perm[j - 1]
-            nb = pair_index[(min(a, c), max(a, c))]
-            remapped |= ((masks >> b) & 1) << nb
-        np.minimum(canon, remapped, out=canon)
-    reps = sorted(set(int(c) for c in canon))
-    out = []
-    for mask in reps:
-        edges = [pairs[b] for b in range(npairs) if mask >> b & 1]
-        out.append(make_graph(n, edges))
-    return out
+    reps = [0]  # the one class on a single vertex
+    pairs: list[tuple[int, int]] = []
+    for k in range(2, n + 1):
+        prev_pairs = pairs
+        pairs = list(combinations(range(1, k + 1), 2))
+        pair_index = {p: b for b, p in enumerate(pairs)}
+        bases = [
+            sum(1 << pair_index[p] for b, p in enumerate(prev_pairs) if mask >> b & 1)
+            for mask in reps
+        ]
+        new_edges = [1 << pair_index[(v, k)] for v in range(1, k)]
+        nbhds = [
+            sum(bit for v, bit in enumerate(new_edges) if s >> v & 1)
+            for s in range(1, 1 << (k - 1))
+        ]
+        masks = np.array([b | e for b in bases for e in nbhds], dtype=np.int64)
+        canon = masks.copy()
+        for perm in permutations(range(1, k + 1)):
+            remapped = np.zeros_like(masks)
+            for b, (i, j) in enumerate(pairs):
+                a, c = perm[i - 1], perm[j - 1]
+                nb = pair_index[(min(a, c), max(a, c))]
+                remapped |= ((masks >> b) & 1) << nb
+            np.minimum(canon, remapped, out=canon)
+        reps = sorted(set(canon.tolist()))
+    return [
+        make_graph(n, [p for b, p in enumerate(pairs) if mask >> b & 1])
+        for mask in reps
+    ]
 
 
 # -- parsing ----------------------------------------------------------

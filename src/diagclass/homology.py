@@ -16,6 +16,7 @@ from typing import Optional
 from .linalg import (
     DEFAULT_MEM_BUDGET,
     SparseMatrix,
+    check_rank_budget,
     rank_gf2,
     rank_rational,
     smith_normal_form,
@@ -46,6 +47,11 @@ def chain_complex(sc: SimplicialComplex) -> list[SparseMatrix]:
 
 
 def _ranks(sc: SimplicialComplex, coeff: str, mem_budget: int) -> list[int]:
+    # every boundary map is checked before the first is eliminated, so a
+    # refusal costs no elimination
+    for d in range(sc.dim + 1):
+        rows = len(sc.faces[d - 1]) if d else 1
+        check_rank_budget(rows, len(sc.faces[d]), coeff, mem_budget)
     rank_fn = {"gf2": rank_gf2, "rational": rank_rational}[coeff]
     out = []
     for d in range(sc.dim + 1):

@@ -1,7 +1,7 @@
 """Exact sparse linear algebra: GF(2) rank, rank over Q, Smith normal
 form over Z, and exact affine systems.
 
-GF(2) ranks use a bit-packed elimination kernel vectorised with numpy.
+GF(2) ranks use a streaming sparse echelon over Python-int bitsets.
 Rational ranks use multi-modular computation at word-size primes with
 agreement certification; very rectangular sparse inputs are first
 compressed by a random row sketch, which can only lower the rank, so
@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-# There is one GF(2) kernel, written with numpy; the constant stays for
+# There is one GF(2) kernel, written in Python; the constant stays for
 # tools that record which kernel produced a measurement.
 HAVE_NATIVE_GF2 = False
 
@@ -93,58 +93,85 @@ class SparseMatrix:
         return out
 
 
+# -- budgets ---------------------------------------------------------
+
+# Rational ranks of matrices with at most this many entries use exact
+# fraction elimination, which the budget does not bound.
+_FRACTION_RANK_MAX_ENTRIES = 40_000
+
+
+def gf2_packed_bytes(rows: int, cols: int) -> int:
+    """Bytes the budget charges a GF(2) rank: the bit-packed matrix, one
+    64-bit word per 64 columns of each row."""
+    return rows * ((cols + 63) // 64) * 8
+
+
+def _check_mod_p_budget(rows: int, cols: int, mem_budget: int) -> bool:
+    """Refuse a rank mod p that would not fit the budget; return whether
+    the tall orientation is compressed by a random row sketch first."""
+    tall, short = max(rows, cols), min(rows, cols)
+    dense_bytes = tall * short * 8
+    sketched = tall > short + 64 and dense_bytes > 512 * 1024**2
+    need = (short + 32) * short * 8 if sketched else dense_bytes
+    if need > mem_budget:
+        kind = "sketched" if sketched else "dense"
+        raise ComputationBudgetError(
+            f"{kind} matrix needs {need} bytes, budget {mem_budget}"
+        )
+    return sketched
+
+
+def check_rank_budget(rows: int, cols: int, field: str, mem_budget: int) -> None:
+    """Refuse, from the shape alone, a rank that `rank_gf2` (field "gf2")
+    or `rank_rational` (field "rational") would refuse, with its message."""
+    if field == "gf2":
+        need = gf2_packed_bytes(rows, cols)
+        if need > mem_budget:
+            raise ComputationBudgetError(
+                f"packed GF(2) matrix needs {need} bytes, budget {mem_budget}"
+            )
+    elif field == "rational":
+        if rows * cols > _FRACTION_RANK_MAX_ENTRIES:
+            _check_mod_p_budget(rows, cols, mem_budget)
+    else:
+        raise ValueError(f"unknown field {field!r}")
+
+
 # -- GF(2) ------------------------------------------------------------
 
-def pack_gf2(m: SparseMatrix) -> np.ndarray:
-    """Bit-pack the matrix rows, 64 columns per uint64 word."""
-    nwords = (m.cols + 63) // 64
-    packed = np.zeros((m.rows, nwords), dtype=np.uint64)
-    odd = (np.asarray(m.val, dtype=np.int64) % 2) == 1
-    r = m.row[odd]
-    c = m.col[odd]
-    words = c // 64
-    bits = (np.uint64(1) << (c % 64).astype(np.uint64))
-    np.bitwise_or.at(packed, (r, words), bits)
-    return packed
-
-
-def _packed_rank(m: np.ndarray, ncols: int) -> int:
-    """In-place forward elimination of a bit-packed matrix; returns the rank.
-
-    Per-pivot work is vectorised over the rows that carry the pivot bit.
-    """
-    nrows = m.shape[0]
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        w, b = divmod(col, 64)
-        colbits = (m[r:, w] >> np.uint64(b)) & np.uint64(1)
-        nz = np.nonzero(colbits)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            tmp = m[r, w:].copy()
-            m[r, w:] = m[piv, w:]
-            m[piv, w:] = tmp
-        rows = r + nz[1:]
-        if rows.size:
-            m[rows[:, None], np.arange(w, m.shape[1])[None, :]] ^= m[r, w:][None, :]
-        r += 1
-    return r
-
-
 def rank_gf2(m: SparseMatrix, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
-    """Exact rank over the 2-element field."""
-    nwords = (m.cols + 63) // 64
-    need = m.rows * nwords * 8
-    if need > mem_budget:
-        raise ComputationBudgetError(
-            f"packed GF(2) matrix needs {need} bytes, budget {mem_budget}"
-        )
-    packed = pack_gf2(m)
-    return _packed_rank(packed, m.cols)
+    """Exact rank over the 2-element field.
+
+    Streaming echelon over Python-int bitsets: the rows of the tall
+    orientation are built one at a time from the odd entries, and each is
+    reduced against the pivots found so far, keyed by their highest set
+    bit, until it is zero or becomes a new pivot.  The pivots are at most
+    min(rows, cols) bitsets of min(rows, cols) bits, never more bits than
+    the packed matrix the budget charges.
+    """
+    check_rank_budget(m.rows, m.cols, "gf2", mem_budget)
+    work = m if m.cols <= m.rows else m.transpose()
+    odd = (np.asarray(work.val, dtype=np.int64) % 2) == 1
+    row = work.row[odd]
+    order = np.argsort(row, kind="stable")
+    row = row[order]
+    col = work.col[odd][order]
+    ends = np.append(np.flatnonzero(np.diff(row)) + 1, len(col))
+    pivots: dict[int, int] = {}
+    start = 0
+    for end in ends:
+        x = 0
+        for c in col[start:end].tolist():
+            x |= 1 << c
+        start = end
+        while x:
+            key = x.bit_length()
+            p = pivots.get(key)
+            if p is None:
+                pivots[key] = x
+                break
+            x ^= p
+    return len(pivots)
 
 
 # -- rank mod p -------------------------------------------------------
@@ -244,20 +271,10 @@ def rank_mod_p(
     """Rank of an integer matrix modulo p (randomised sketch for very
     rectangular sparse inputs)."""
     work = m if m.cols <= m.rows else m.transpose()
-    dense_bytes = work.rows * work.cols * 8
-    if work.rows > work.cols + 64 and dense_bytes > 512 * 1024**2:
-        sketch_bytes = (work.cols + 32) * work.cols * 8
-        if sketch_bytes > mem_budget:
-            raise ComputationBudgetError(
-                f"sketched matrix needs {sketch_bytes} bytes, budget {mem_budget}"
-            )
+    if _check_mod_p_budget(work.rows, work.cols, mem_budget):
         rng = np.random.default_rng((seed, p, work.rows, work.cols))
         M = _sketch_mod_p(work, p, rng)
     else:
-        if dense_bytes > mem_budget:
-            raise ComputationBudgetError(
-                f"dense matrix needs {dense_bytes} bytes, budget {mem_budget}"
-            )
         M = np.zeros((work.rows, work.cols), dtype=np.float64)
         M[work.row, work.col] = np.asarray(work.val, dtype=np.int64) % p
     return _dense_rank_mod_p(M, p)
@@ -295,7 +312,7 @@ def rank_rational(
     Small matrices use deterministic fraction elimination; larger ones use
     modular ranks at several word-size primes, certified by agreement.
     """
-    if m.rows * m.cols <= 40_000:
+    if m.rows * m.cols <= _FRACTION_RANK_MAX_ENTRIES:
         return _rank_fraction_dense(m.to_dense())
     ranks = [rank_mod_p(m, p, seed=seed, mem_budget=mem_budget) for p in _PRIME_POOL[:3]]
     if len(set(ranks)) == 1:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import diagclass.homology as homology
 from diagclass.graphs import make_graph, named_graph
 from diagclass.homology import (
     betti_numbers,
@@ -12,6 +13,7 @@ from diagclass.homology import (
     homology_report_json,
     integral_homology,
 )
+from diagclass.linalg import ComputationBudgetError, rank_gf2
 from diagclass.posets import SimplicialComplex, cluster_permutohedron, order_complex, skeleton
 
 
@@ -148,3 +150,17 @@ def test_homology_report():
 def test_unknown_coefficients_rejected():
     with pytest.raises(ValueError):
         betti_numbers(CIRCLE, coeff="gf3")
+
+
+def test_budget_refuses_before_any_elimination(monkeypatch):
+    # charged bytes: d_0 16, d_1 2304, d_2 5184
+    sc = order_complex(skeleton(cluster_permutohedron(named_graph("claw"), max_rank=2), 2))
+    with pytest.raises(ComputationBudgetError) as direct:
+        rank_gf2(boundary_matrix(sc, 2), mem_budget=3000)
+    eliminated = []
+    monkeypatch.setattr(homology, "rank_gf2", lambda m, **kw: eliminated.append(m))
+    with pytest.raises(ComputationBudgetError) as refused:
+        betti_numbers(sc, coeff="gf2", mem_budget=3000)
+    assert str(refused.value) == str(direct.value)
+    assert str(refused.value) == "packed GF(2) matrix needs 5184 bytes, budget 3000"
+    assert eliminated == []

@@ -1,23 +1,28 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from diagclass.gkm import build_gkm_graph, kernel_matrix
+from diagclass.graphs import named_graph
+from diagclass.homology import boundary_matrix
 from diagclass.linalg import (
     ComputationBudgetError,
     SparseMatrix,
     _dense_rank_mod_p,
     _sketch_mod_p,
-    pack_gf2,
+    gf2_packed_bytes,
     rank_gf2,
     rank_mod_p,
     rank_rational,
     smith_normal_form,
     solve_affine_system,
 )
+from diagclass.posets import cluster_permutohedron, order_complex, skeleton
 
 PRIME = 2097593
 
@@ -110,11 +115,23 @@ def test_sparse_matrix_rejects_duplicates_and_bounds():
     assert m.nnz == 1
 
 
-def test_pack_gf2_keeps_odd_entries():
-    m = sparse_from_dense([[2, 3], [1, 4]])
-    packed = pack_gf2(m)
-    assert packed.shape == (2, 1)
-    assert packed[0, 0] == 0b10 and packed[1, 0] == 0b01
+def test_rank_gf2_drops_even_entries():
+    # rank 2 over Q, but the even row vanishes mod 2
+    m = sparse_from_dense([[2, 2], [1, 3]])
+    assert rank_gf2(m) == 1
+    assert rank_rational(m) == 2
+    assert rank_gf2(sparse_from_dense([[2, 4], [-6, 8]])) == 0
+
+
+def test_rank_gf2_exhaustive_small_shapes():
+    for rows, cols in [(1, 1), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3)]:
+        for bits in product((0, 1), repeat=rows * cols):
+            dense = [list(bits[i * cols:(i + 1) * cols]) for i in range(rows)]
+            m = SparseMatrix.from_triples(
+                rows, cols,
+                [(i, j, 1) for i in range(rows) for j in range(cols) if dense[i][j]],
+            )
+            assert rank_gf2(m) == bitset_rank_gf2(dense), dense
 
 
 def test_rank_gf2_against_bitset_oracle():
@@ -132,6 +149,51 @@ def test_rank_gf2_budget():
     m = sparse_from_dense([[1, 0], [0, 1]])
     with pytest.raises(ComputationBudgetError):
         rank_gf2(m, mem_budget=1)
+
+
+@pytest.fixture(scope="module")
+def suite_matrices():
+    """The large GF(2) matrices the nonformal verdicts rest on."""
+    sun3 = build_gkm_graph(named_graph("sun3"))
+    net = build_gkm_graph(named_graph("net"))
+    c5 = order_complex(
+        skeleton(cluster_permutohedron(named_graph("cycle", 5), max_rank=3), 3)
+    )
+    return {
+        "sun3 L_0": kernel_matrix(sun3, 0),
+        "sun3 L_1": kernel_matrix(sun3, 1),
+        "sun3 L_2": kernel_matrix(sun3, 2),
+        "net L_2": kernel_matrix(net, 2),
+        "net L_3": kernel_matrix(net, 3),
+        "C5 skeleton d_2": boundary_matrix(c5, 2),
+        "C5 skeleton d_3": boundary_matrix(c5, 3),
+    }
+
+
+def test_rank_gf2_suite_matrices(suite_matrices):
+    # the ranks the bit-packed numpy elimination gave before this kernel
+    expected = {
+        "sun3 L_0": 719,
+        "sun3 L_1": 4309,
+        "sun3 L_2": 15040,
+        "net L_2": 14833,
+        "net L_3": 38572,
+        "C5 skeleton d_2": 6002,
+        "C5 skeleton d_3": 7192,
+    }
+    assert {name: rank_gf2(m) for name, m in suite_matrices.items()} == expected
+
+
+def test_rank_gf2_peak_memory_within_charge(suite_matrices):
+    m = suite_matrices["sun3 L_2"]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert rank_gf2(m) == 15040
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < gf2_packed_bytes(m.rows, m.cols)
 
 
 def test_rank_mod_p_against_fraction_oracle():
