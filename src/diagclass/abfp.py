@@ -30,7 +30,7 @@ from .hessenberg import (
     recognize_indifference,
     staircase_key,
 )
-from .homology import betti_numbers
+from .homology import betti_numbers, check_homology_budget
 from .linalg import (
     DEFAULT_MEM_BUDGET,
     ComputationBudgetError,
@@ -46,6 +46,7 @@ from .posets import (
     clustering_rank,
     order_complex,
     skeleton,
+    skeleton_face_counts,
 )
 
 T_MINUS_1 = Polynomial([-1, 1])
@@ -234,6 +235,8 @@ def _skeleton_homology_evidence(wg: Graph, mem_budget: int) -> Optional[dict]:
     coefficient ring, so a nonzero H1 over the 2-element field (the
     cheapest exact computation) is already an obstruction.
     """
+    # the shapes are refused before the poset is built
+    check_homology_budget(skeleton_face_counts(wg, 2), "gf2", mem_budget)
     cp = cluster_permutohedron(wg, max_rank=2)
     sk = skeleton(cp, 2)
     betti = betti_numbers(order_complex(sk), coeff="gf2", mem_budget=mem_budget)

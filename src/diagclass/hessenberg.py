@@ -2,11 +2,15 @@
 certificates, the inversion-statistic Betti polynomial, and the
 edge-completion invariant.
 
-Recognition searches vertex orderings by backtracking.  An ordering
-v_1..v_n is valid iff it has no "umbrella" violation: i < j < k with
-v_i ~ v_k requires v_i ~ v_j and v_j ~ v_k.  Valid orderings are exactly
-the ones whose relabelled graph is a staircase graph, so exhaustive
-search with this pruning both recognises and refutes.
+An ordering v_1..v_n is valid iff it has no "umbrella" violation:
+i < j < k with v_i ~ v_k requires v_i ~ v_j and v_j ~ v_k.  Valid
+orderings are exactly the ones whose relabelled graph is a staircase
+graph.  Recognition builds one: the third of three LexBFS+ sweeps is
+valid iff the graph is an indifference graph (Corneil 2004).  By Roberts'
+theorem a connected indifference graph has one valid ordering up to
+reversal and reordering of twins (vertices with the same closed
+neighbourhood), so sorting the twin runs of that sweep, forwards or
+reversed, gives the lexicographically first valid ordering.
 """
 
 from __future__ import annotations
@@ -79,47 +83,49 @@ class IndifferenceCertificate:
         return self.relabelled(g) == hessenberg_to_graph(self.h)
 
 
+def _lexbfs(adj: dict[int, frozenset[int]], prev: list[int]) -> list[int]:
+    """Lexicographic breadth-first order, ties going to the vertex that
+    comes latest in prev (LexBFS+).  A label lists the decreasing step
+    numbers of the visited neighbours, so list comparison orders labels."""
+    rank = {v: i for i, v in enumerate(prev)}
+    label: dict[int, list[int]] = {v: [] for v in prev}
+    order = []
+    for step in range(len(prev), 0, -1):
+        v = max(label, key=lambda u: (label[u], rank[u]))
+        del label[v]
+        order.append(v)
+        for w in adj[v]:
+            if w in label:
+                label[w].append(step)
+    return order
+
+
 def _find_indifference_ordering(g: Graph) -> Optional[tuple[int, ...]]:
-    """Lexicographically first umbrella-free ordering, or None."""
-    n = g.n
+    """Lexicographically first umbrella-free ordering of a connected g, or None."""
     adj = {v: g.neighbors(v) for v in g.vertices()}
-    placed: list[int] = []
-    used = [False] * (n + 1)
-
-    def ok_to_place(v: int) -> bool:
-        # placed neighbors of v must form a suffix of the placed sequence,
-        # and that suffix must be a clique
-        k = len(placed)
-        first = next((i for i in range(k) if placed[i] in adj[v]), None)
-        if first is None:
-            return True
-        for j in range(first + 1, k):
-            if placed[j] not in adj[v]:
-                return False
-        for i in range(first, k):
-            for j in range(i + 1, k):
-                if placed[j] not in adj[placed[i]]:
-                    return False
-        return True
-
-    def extend() -> bool:
-        if len(placed) == n:
-            return True
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            if ok_to_place(v):
-                placed.append(v)
-                used[v] = True
-                if extend():
-                    return True
-                placed.pop()
-                used[v] = False
-        return False
-
-    if extend():
-        return tuple(placed)
-    return None
+    sigma = list(g.vertices())
+    for _ in range(3):
+        sigma = _lexbfs(adj, sigma)
+    # valid iff each vertex's later neighbours are the next positions and
+    # the last of them never moves left
+    pos = {v: i for i, v in enumerate(sigma)}
+    last_end = 0
+    for i, v in enumerate(sigma):
+        later = [pos[w] for w in adj[v] if pos[w] > i]
+        end = max(later, default=i)
+        if end != i + len(later) or end < last_end:
+            return None
+        last_end = end
+    # twins are consecutive in every valid ordering
+    runs: list[list[int]] = []
+    for v in sigma:
+        if runs and adj[runs[-1][0]] | {runs[-1][0]} == adj[v] | {v}:
+            runs[-1].append(v)
+        else:
+            runs.append([v])
+    forward = [v for run in runs for v in sorted(run)]
+    backward = [v for run in reversed(runs) for v in sorted(run)]
+    return tuple(min(forward, backward))
 
 
 def recognize_indifference(
@@ -134,13 +140,12 @@ def recognize_indifference(
         if witness is None:
             raise RuntimeError("no staircase ordering but no forbidden induced subgraph")
         return witness
-    label = {v: k for k, v in enumerate(ordering, start=1)}
-    relabelled = make_graph(g.n, [(label[i], label[j]) for i, j in g.edges])
-    h = []
-    for i in range(1, g.n + 1):
-        later = [j for j in range(i + 1, g.n + 1) if relabelled.has_edge(i, j)]
-        h.append(max(later) if later else i)
-    return IndifferenceCertificate(ordering, HessenbergFunction(tuple(h)))
+    pos = {v: k for k, v in enumerate(ordering, start=1)}
+    h = tuple(
+        max([k, *(pos[w] for w in g.neighbors(v))])
+        for k, v in enumerate(ordering, start=1)
+    )
+    return IndifferenceCertificate(ordering, HessenbergFunction(h))
 
 
 def staircase_key(h: HessenbergFunction) -> tuple[int, ...]:

@@ -46,12 +46,17 @@ def chain_complex(sc: SimplicialComplex) -> list[SparseMatrix]:
     return [boundary_matrix(sc, d) for d in range(sc.dim + 1)]
 
 
+def check_homology_budget(face_counts: list[int], coeff: str, mem_budget: int) -> None:
+    """Refuse, from the face counts alone, a complex one of whose boundary
+    maps `betti_numbers` would refuse to eliminate, with its message."""
+    for d, cols in enumerate(face_counts):
+        check_rank_budget(face_counts[d - 1] if d else 1, cols, coeff, mem_budget)
+
+
 def _ranks(sc: SimplicialComplex, coeff: str, mem_budget: int) -> list[int]:
     # every boundary map is checked before the first is eliminated, so a
     # refusal costs no elimination
-    for d in range(sc.dim + 1):
-        rows = len(sc.faces[d - 1]) if d else 1
-        check_rank_budget(rows, len(sc.faces[d]), coeff, mem_budget)
+    check_homology_budget(sc.face_counts(), coeff, mem_budget)
     rank_fn = {"gf2": rank_gf2, "rational": rank_rational}[coeff]
     out = []
     for d in range(sc.dim + 1):
@@ -99,16 +104,14 @@ class IntegralHomology:
         return " + ".join(parts) if parts else "0"
 
 
-def integral_homology(
-    sc: SimplicialComplex, reduced: bool = True, size_cap: int = 200_000
-) -> IntegralHomology:
+def integral_homology(sc: SimplicialComplex, reduced: bool = True) -> IntegralHomology:
     """Homology with integer coefficients from Smith normal forms."""
     if not sc.faces or not sc.faces[0]:
         return IntegralHomology((), (), reduced)
     divisors = []
     for d in range(sc.dim + 1):
         m = boundary_matrix(sc, d)
-        divisors.append(smith_normal_form(m, size_cap=size_cap) if m.cols else ())
+        divisors.append(smith_normal_form(m) if m.cols else ())
     divisors.append(())
     free = []
     torsion = []

@@ -10,6 +10,7 @@ agreement across independent sketches/primes certifies the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -327,125 +328,80 @@ def rank_rational(
 # -- Smith normal form ------------------------------------------------
 
 def smith_normal_form(
-    m: SparseMatrix, size_cap: int = 10_000
+    m: SparseMatrix, size_cap: int = 200_000
 ) -> tuple[int, ...]:
     """Elementary divisors d1 | d2 | ... of an integer matrix.
 
     Classical elimination with smallest-pivot selection; intended for the
-    small integral-homology targets.
+    small integral-homology targets.  A finished pivot's row and column
+    leave the matrix, so each pivot search sees only what is left.
     """
     if max(m.rows, m.cols) > size_cap:
         raise ComputationBudgetError(
             f"matrix {m.rows}x{m.cols} exceeds Smith normal form cap {size_cap}"
         )
-    # dict-of-dict sparse representation
-    rowmap: dict[int, dict[int, int]] = {}
-    colmap: dict[int, set[int]] = {}
-    for r, c, v in zip(m.row, m.col, m.val):
-        r, c, v = int(r), int(c), int(v)
+    rows: dict[int, dict[int, int]] = {}  # rows[r][c]: the nonzero entries
+    cols: dict[int, set[int]] = {}  # cols[c]: rows with an entry in column c
+
+    def put(r: int, c: int, v: int) -> None:
         if v:
-            rowmap.setdefault(r, {})[c] = v
-            colmap.setdefault(c, set()).add(r)
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, set()).add(r)
+        elif c in rows.get(r, ()):
+            del rows[r][c]
+            cols[c].discard(r)
+
+    for r, c, v in zip(m.row, m.col, m.val):
+        put(int(r), int(c), int(v))
 
     divisors: list[int] = []
-
-    def entry(r: int, c: int) -> int:
-        return rowmap.get(r, {}).get(c, 0)
-
-    def set_entry(r: int, c: int, v: int) -> None:
-        if v:
-            rowmap.setdefault(r, {})[c] = v
-            colmap.setdefault(c, set()).add(r)
-        else:
-            if c in rowmap.get(r, {}):
-                del rowmap[r][c]
-                colmap[c].discard(r)
-
-    def add_row(dst: int, src: int, f: int) -> None:
-        if f == 0:
-            return
-        for c, v in list(rowmap.get(src, {}).items()):
-            set_entry(dst, c, entry(dst, c) + f * v)
-
-    def add_col(dst: int, src: int, f: int) -> None:
-        if f == 0:
-            return
-        for r in list(colmap.get(src, set())):
-            set_entry(r, dst, entry(r, dst) + f * entry(r, src))
-
-    done_rows: set[int] = set()
-    done_cols: set[int] = set()
-
-    while True:
+    while rows:
         best = None
-        for r, cs in rowmap.items():
-            if r in done_rows:
-                continue
+        for r, cs in rows.items():
             for c, v in cs.items():
-                if c in done_cols:
-                    continue
-                av = abs(v)
-                if best is None or av < best[0]:
-                    best = (av, r, c)
-                    if av == 1:
+                if best is None or abs(v) < best[0]:
+                    best = (abs(v), r, c)
+                    if best[0] == 1:
                         break
-            if best and best[0] == 1:
+            if best[0] == 1:
                 break
-        if best is None:
-            break
         _, pr, pc = best
         while True:
-            pv = entry(pr, pc)
+            pv = rows[pr][pc]
             reduced = False
-            for r in list(colmap.get(pc, set())):
-                if r == pr or r in done_rows:
-                    continue
-                v = entry(r, pc)
-                q = round(Fraction(v, pv))
-                add_row(r, pr, -q)
-                if entry(r, pc):
-                    reduced = True
-            for c in list(rowmap.get(pr, {}).keys()):
-                if c == pc or c in done_cols:
-                    continue
-                v = entry(pr, c)
-                q = round(Fraction(v, pv))
-                add_col(c, pc, -q)
-                if entry(pr, c):
-                    reduced = True
-            # move to a smaller pivot if a nonzero remainder appeared
+            for r in list(cols[pc]):
+                if r != pr:
+                    q = round(Fraction(rows[r][pc], pv))
+                    if q:
+                        for c, v in list(rows[pr].items()):
+                            put(r, c, rows[r].get(c, 0) - q * v)
+                        if not rows[r]:
+                            del rows[r]
+                    reduced |= pc in rows.get(r, ())
+            for c in list(rows[pr]):
+                if c != pc:
+                    q = round(Fraction(rows[pr][c], pv))
+                    if q:
+                        for r in list(cols[pc]):
+                            put(r, c, rows[r].get(c, 0) - q * rows[r][pc])
+                    reduced |= c in rows[pr]
             if not reduced:
-                col_clear = all(
-                    r == pr or r in done_rows for r in colmap.get(pc, set())
-                )
-                row_clear = all(
-                    c == pc or c in done_cols for c in rowmap.get(pr, {})
-                )
-                if col_clear and row_clear:
-                    break
+                break
+            # a nonzero remainder is smaller than the pivot: move to the
+            # smallest entry of the pivot's row and column
             cand = None
-            for r in colmap.get(pc, set()):
-                if r in done_rows:
-                    continue
-                v = abs(entry(r, pc))
-                if v and (cand is None or v < cand[0]):
+            for r in cols[pc]:
+                v = abs(rows[r][pc])
+                if cand is None or v < cand[0]:
                     cand = (v, r, pc)
-            for c in rowmap.get(pr, {}):
-                if c in done_cols:
-                    continue
-                v = abs(entry(pr, c))
-                if v and (cand is None or v < cand[0]):
-                    cand = (v, pr, c)
-            if cand is not None:
-                _, pr, pc = cand
-        divisors.append(abs(entry(pr, pc)))
-        done_rows.add(pr)
-        done_cols.add(pc)
+            for c, v in rows[pr].items():
+                if abs(v) < cand[0]:
+                    cand = (abs(v), pr, c)
+            _, pr, pc = cand
+        divisors.append(abs(rows.pop(pr)[pc]))
+        del cols[pc]
 
     # enforce the divisibility chain d1 | d2 | ...
-    import math
-
-    divisors = [d for d in divisors if d]
     changed = True
     while changed:
         changed = False

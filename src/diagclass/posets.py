@@ -250,6 +250,31 @@ def cluster_permutohedron(
     return _assignment_poset(faces, g.n, element_cap, "cluster-permutohedron")
 
 
+def skeleton_face_counts(g: Graph, max_rank: int) -> list[int]:
+    """Face counts of order_complex(cluster_permutohedron(g, max_rank=max_rank)),
+    without building either.
+
+    A chain of that poset is a chain c_0 < ... < c_d of clusterings with an
+    assignment of c_0, which fixes the assignments above it; so the d-faces
+    number the sum of assignment_multiplicity(c_0) over clustering chains.
+    """
+    _require_connected(g)
+    cls = [c for c in all_clusterings(g) if clustering_rank(c, g.n) <= max_rank]
+    counts = [0] * (max_rank + 1)
+    # chains[i][d]: chains of d + 1 clusterings starting at cls[i]; a coarser
+    # clustering comes later in all_clusterings' order
+    chains: list[list[int]] = [[] for _ in cls]
+    for i in reversed(range(len(cls))):
+        chains[i] = [1] + [0] * max_rank
+        for j in range(i + 1, len(cls)):
+            if all(any(b <= top for top in cls[j]) for b in cls[i]):
+                for d in range(max_rank):
+                    chains[i][d + 1] += chains[j][d]
+        for d, k in enumerate(chains[i]):
+            counts[d] += assignment_multiplicity(cls[i], g.n) * k
+    return [k for k in counts if k]
+
+
 def graphicahedron(
     g: Graph, element_cap: int = 2_000_000, max_rank: Optional[int] = None
 ) -> GradedPoset:

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from diagclass import abfp
 from diagclass.abfp import (
     ConsistencyResult,
     NonIndifferenceFaceError,
+    _skeleton_homology_evidence,
     abfp_consistency_test,
     assignment_multiplicity,
     compute_A,
@@ -21,6 +23,7 @@ from diagclass.graphs import (
     named_graph,
 )
 from diagclass.hessenberg import is_indifference, recognize_indifference
+from diagclass.linalg import ComputationBudgetError
 from diagclass.polynomials import Polynomial
 
 T_MINUS_1 = Polynomial([-1, 1])
@@ -170,6 +173,16 @@ def test_formality_undetermined_under_tiny_budget():
     rep = formality_report(named_graph("net"), mem_budget=1000)
     assert rep.verdict == "undetermined"
     assert rep.witness.kind == "net"
+
+
+def test_skeleton_strategy_refuses_before_building_the_poset(monkeypatch):
+    # C7's rank-2 skeleton has a 246,960 x 211,680 d_2: 6.5 GB packed
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("poset built for a refused skeleton")
+
+    monkeypatch.setattr(abfp, "cluster_permutohedron", unbuilt)
+    with pytest.raises(ComputationBudgetError, match="packed GF"):
+        _skeleton_homology_evidence(named_graph("cycle", 7), 2 * 1024**3)
 
 
 def test_formality_requires_connected():

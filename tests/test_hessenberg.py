@@ -1,6 +1,7 @@
 import math
 import random
-from itertools import combinations
+import time
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -75,8 +76,8 @@ def test_recognition_requires_connected():
 
 def test_recognition_agrees_with_forbidden_search():
     """Ordering-based recognition == absence of forbidden induced subgraphs,
-    exhaustively on all connected graphs with at most 6 vertices."""
-    for n in range(1, 7):
+    exhaustively on all connected graphs with at most 7 vertices."""
+    for n in range(1, 8):
         for g in connected_graphs_up_to_iso(n):
             assert is_indifference(g) == (find_forbidden_induced(g) is None)
 
@@ -92,6 +93,63 @@ def test_certificates_validate_everywhere():
 
                 sub = induced_subgraph(g, result.vertices)
                 assert graphs_isomorphic(sub, result.model_graph())
+
+
+def first_staircase_ordering(g):
+    """The first ordering, in itertools.permutations order, whose
+    relabelled graph is a staircase graph, or None."""
+    for ordering in permutations(g.vertices()):
+        label = {v: k for k, v in enumerate(ordering, start=1)}
+        edges = {tuple(sorted((label[i], label[j]))) for i, j in g.edges}
+        h = list(g.vertices())
+        for i, j in edges:
+            h[i - 1] = max(h[i - 1], j)
+        staircase = {(i, j) for i in g.vertices() for j in range(i + 1, h[i - 1] + 1)}
+        if h == sorted(h) and edges == staircase:
+            return ordering
+    return None
+
+
+def test_certificate_is_first_staircase_ordering():
+    """Exhaustively for n <= 6, with three relabellings of each graph."""
+    rng = random.Random(7)
+    for n in range(1, 7):
+        for g in connected_graphs_up_to_iso(n):
+            variants = [g]
+            for _ in range(3):
+                perm = list(range(1, n + 1))
+                rng.shuffle(perm)
+                variants.append(relabel(g, perm))
+            # a relabelling of a graph with no staircase ordering has none
+            expected = first_staircase_ordering(g)
+            for v in variants:
+                result = recognize_indifference(v)
+                if expected is None:
+                    assert isinstance(result, ForbiddenWitness)
+                else:
+                    assert result.ordering == first_staircase_ordering(v)
+
+
+def random_connected_staircase(rng, n):
+    h = []
+    for i in range(1, n + 1):
+        lo = max(i + 1 if i < n else i, h[-1] if h else 1)
+        h.append(rng.randint(lo, min(n, lo + 3)))
+    return HessenbergFunction(tuple(h))
+
+
+def test_relabelled_large_staircases_are_fast():
+    rng = random.Random(20)
+    for n in (20, 40):
+        h = random_connected_staircase(rng, n)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        g = relabel(hessenberg_to_graph(h), perm)
+        start = time.perf_counter()
+        cert = recognize_indifference(g)
+        assert time.perf_counter() - start < 1.0
+        assert cert.validates(g)
+        assert staircase_key(cert.h) == staircase_key(h)
 
 
 def test_inv_h():

@@ -16,6 +16,7 @@ from diagclass.posets import (
     order_complex,
     project_assignment,
     skeleton,
+    skeleton_face_counts,
 )
 
 PATH3 = make_graph(3, [(1, 2), (2, 3)])
@@ -150,6 +151,19 @@ def test_order_complex_hexagon():
     sc = order_complex(sk)
     assert sc.face_counts() == [12, 12]
     assert sc.euler_characteristic() == 0
+
+
+def test_skeleton_face_counts_match_order_complex():
+    fork = make_graph(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
+    bull = make_graph(5, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5)])
+    small = [named_graph("claw"), named_graph("cycle", 4), named_graph("cycle", 5),
+             PATH3, named_graph("complete", 3), fork, bull]
+    cases = [(g, r) for g in small for r in (1, 2, 3)]
+    cases += [(named_graph(name), r) for name in ("net", "sun3") for r in (1, 2)]
+    for g, r in cases:
+        built = order_complex(cluster_permutohedron(g, max_rank=r))
+        assert skeleton_face_counts(g, r) == built.face_counts()
+    assert skeleton_face_counts(named_graph("cycle", 7), 2) == [46200, 246960, 211680]
 
 
 def test_order_complex_chains_are_chains():
