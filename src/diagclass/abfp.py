@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -77,11 +78,36 @@ def face_betti_polynomial(c: Clustering, g: Graph) -> Polynomial:
     return out
 
 
+class _LruMemo:
+    """At most `SIZE` entries; storing one more evicts the least recently
+    used, so a long-lived process keeps a bounded memo."""
+
+    SIZE = 1024
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict = OrderedDict()
+
+    def get(self, key):
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
+
+    def __setitem__(self, key, value) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        if len(self._entries) > self.SIZE:
+            self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 # Keyed by isomorphism class: staircase_key for A, the witness shape and
 # the budget for the evidence (every evidence field is an isomorphism
 # invariant of the witness's induced graph).
-_A_MEMO: dict = {}
-_EVIDENCE_MEMO: dict = {}
+_A_MEMO = _LruMemo()
+_EVIDENCE_MEMO = _LruMemo()
 
 
 def compute_A(g: Graph) -> Polynomial:

@@ -19,11 +19,10 @@ from __future__ import annotations
 import json
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 from typing import Optional
-
-import numpy as np
 
 from .graphs import Graph, GraphInputError, graphs_isomorphic, named_graph
 from .linalg import (
@@ -121,6 +120,9 @@ def kernel_matrix(gg: GkmGraph, degree: int) -> SparseMatrix:
 
     Columns: (vertex, degree-i monomial in n variables).
     Rows: (edge, degree-i monomial in n-1 variables).
+    Each edge u -> v puts +1 at column (u, m) and -1 at column (v, m) of
+    row (edge, m with x_q := x_p) for every monomial m; the columns of one
+    vertex are distinct monomials, so no two entries share a cell.
     """
     n = gg.n
     mons = monomials(n, degree)
@@ -142,42 +144,14 @@ def kernel_matrix(gg: GkmGraph, degree: int) -> SparseMatrix:
             table.append(reduced_index[tuple(merged)])
         subst[pq] = table
 
-    nnz = 2 * gg.num_edges * mcols
-    row = np.empty(nnz, dtype=np.int64)
-    col = np.empty(nnz, dtype=np.int64)
-    val = np.empty(nnz, dtype=np.int64)
-    k = 0
+    row, col = array("q"), array("q")
     for e, (u, v, pq) in enumerate(gg.edges):
-        table = subst[pq]
-        base = e * mrows
-        for m in range(mcols):
-            r = base + table[m]
-            row[k] = r
-            col[k] = u * mcols + m
-            val[k] = 1
-            row[k + 1] = r
-            col[k + 1] = v * mcols + m
-            val[k + 1] = -1
-            k += 2
-    # entries landing in the same cell (two monomials merging) must be summed
-    rows_total = gg.num_edges * mrows
-    cols_total = gg.num_vertices * mcols
-    flat = row * cols_total + col
-    order = np.argsort(flat, kind="stable")
-    flat = flat[order]
-    val = val[order]
-    boundaries = np.flatnonzero(np.diff(flat)) + 1
-    starts = np.concatenate(([0], boundaries))
-    sums = np.add.reduceat(val, starts)
-    keep = sums != 0
-    flat_u = flat[starts][keep]
-    return SparseMatrix.from_arrays(
-        rows_total,
-        cols_total,
-        flat_u // cols_total,
-        flat_u % cols_total,
-        sums[keep],
-    )
+        base, ucol, vcol = e * mrows, u * mcols, v * mcols
+        for m, t in enumerate(subst[pq]):
+            row.extend((base + t, base + t))
+            col.extend((ucol + m, vcol + m))
+    val = array("q", (1, -1)) * (gg.num_edges * mcols)
+    return SparseMatrix(gg.num_edges * mrows, gg.num_vertices * mcols, row, col, val)
 
 
 def equivariant_betti(

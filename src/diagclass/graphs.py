@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
@@ -47,12 +48,15 @@ class Graph:
         return (min(i, j), max(i, j)) in self.edges
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adjacency()[v]
+        return self._adjacency[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adjacency()[v])
+        return len(self._adjacency[v])
 
+    @cached_property
     def _adjacency(self) -> dict[int, frozenset[int]]:
+        """Built on first use and kept; not a field, so equality and hash
+        stay on (n, edges)."""
         adj: dict[int, set[int]] = {v: set() for v in self.vertices()}
         for i, j in self.edges:
             adj[i].add(j)
@@ -65,7 +69,7 @@ class Graph:
     # -- connectivity --------------------------------------------------
 
     def components(self) -> list[frozenset[int]]:
-        adj = self._adjacency()
+        adj = self._adjacency
         seen: set[int] = set()
         comps = []
         for v in self.vertices():
@@ -162,7 +166,7 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> Graph:
 
 def girth(g: Graph):
     """Length of the shortest cycle; math.inf for forests."""
-    adj = g._adjacency()
+    adj = g._adjacency
     best = math.inf
     # BFS from each vertex; a non-tree edge at depths d1, d2 closes a cycle
     for s in g.vertices():
@@ -193,8 +197,8 @@ def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
     deg2 = sorted(g2.degree(v) for v in g2.vertices())
     if deg1 != deg2:
         return False
-    adj1 = g1._adjacency()
-    adj2 = g2._adjacency()
+    adj1 = g1._adjacency
+    adj2 = g2._adjacency
     n = g1.n
     order = sorted(g1.vertices(), key=lambda v: -len(adj1[v]))
     mapping: dict[int, int] = {}

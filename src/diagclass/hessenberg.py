@@ -15,8 +15,9 @@ reversed, gives the lexicographically first valid ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Optional, Union
 
 from .graphs import (
@@ -190,15 +191,36 @@ def betti_polynomial_hessenberg(h: HessenbergFunction) -> Polynomial:
 
     Coefficient of t^i is the 2i-th Betti number of the isospectral
     staircase manifold; requires a connected h.
+
+    A subset dynamic programme in O(2^n * n) big-integer additions instead
+    of n! permutations: the values 1..n are placed in ascending order, and
+    placing one at position p adds one inversion with every filled position
+    in (p, h(p)], since those hold smaller values.  counts[S] is the
+    generating polynomial of the placements that fill the positions in S,
+    packed into one int with a digit of `width` bits per coefficient; no
+    coefficient exceeds n!, so no digit carries into the next.
     """
     if not h.is_connected():
         raise GraphInputError("Betti polynomial requires a connected Hessenberg function")
     n = h.n
-    counts: dict[int, int] = {}
-    for sigma in permutations(range(1, n + 1)):
-        k = inv_h(sigma, h)
-        counts[k] = counts.get(k, 0) + 1
-    return Polynomial(counts.get(d, 0) for d in range(max(counts) + 1))
+    # window[p]: bitmask of the 0-based positions q with p < q < h.h[p],
+    # which are the positions in (p, h(p)] counted from 1
+    window = [((1 << h.h[p]) - 1) & ~((1 << (p + 1)) - 1) for p in range(n)]
+    width = math.factorial(n).bit_length()
+    full = (1 << n) - 1
+    counts = [0] * (full + 1)
+    counts[0] = 1
+    for filled in range(full):
+        cur = counts[filled]
+        counts[filled] = 0  # every later state has more positions filled
+        for p in range(n):
+            bit = 1 << p
+            if not filled & bit:
+                k = (filled & window[p]).bit_count()
+                counts[filled | bit] += cur << (width * k)
+    packed, mask = counts[full], (1 << width) - 1
+    top = sum(w.bit_count() for w in window)
+    return Polynomial((packed >> (width * i)) & mask for i in range(top + 1))
 
 
 def adi(g: Graph) -> tuple[int, list[tuple[int, int]]]:

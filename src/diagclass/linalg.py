@@ -1,21 +1,26 @@
 """Exact sparse linear algebra: GF(2) rank, rank over Q, Smith normal
 form over Z, and exact affine systems.
 
-GF(2) ranks use a streaming sparse echelon over Python-int bitsets.
-Rational ranks use multi-modular computation at word-size primes with
-agreement certification; very rectangular sparse inputs are first
-compressed by a random row sketch, which can only lower the rank, so
-agreement across independent sketches/primes certifies the result.
+A `SparseMatrix` holds its entries in coordinate form, as three stdlib
+`array('q')` columns (row, column, value).  GF(2) ranks use a streaming
+sparse echelon over Python-int bitsets.  Rational ranks of small matrices
+use fraction elimination; larger ones use multi-modular computation at
+word-size primes with agreement certification, and very rectangular
+sparse inputs are first compressed by a random row sketch, which can only
+lower the rank, so agreement across independent sketches/primes certifies
+the result.  Only that modular path uses NumPy and SciPy, and it imports
+them when it runs: every other computation in the package starts without
+them.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 # There is one GF(2) kernel, written in Python; the constant stays for
 # tools that record which kernel produced a measurement.
@@ -47,38 +52,30 @@ class SparseMatrix:
 
     rows: int
     cols: int
-    row: np.ndarray  # int64
-    col: np.ndarray  # int64
-    val: np.ndarray  # object or int64 array of integers
+    row: array  # array('q'), one entry per nonzero
+    col: array  # array('q')
+    val: array  # array('q'), never 0
 
     @classmethod
     def from_triples(
         cls, rows: int, cols: int, triples: Iterable[tuple[int, int, int]]
     ) -> "SparseMatrix":
-        seen: dict[tuple[int, int], int] = {}
+        """Nonzero entries in the order given; zeros are dropped, and a cell
+        given twice or outside the shape is an error."""
+        row, col, val = array("q"), array("q"), array("q")
+        seen: set[int] = set()
         for r, c, v in triples:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
-            if (r, c) in seen:
+            cell = r * cols + c
+            if cell in seen:
                 raise ValueError(f"duplicate entry at ({r},{c})")
+            seen.add(cell)
             if v != 0:
-                seen[(r, c)] = int(v)
-        rr = np.fromiter((k[0] for k in seen), dtype=np.int64, count=len(seen))
-        cc = np.fromiter((k[1] for k in seen), dtype=np.int64, count=len(seen))
-        vv = np.fromiter(seen.values(), dtype=np.int64, count=len(seen))
-        return cls(rows, cols, rr, cc, vv)
-
-    @classmethod
-    def from_arrays(
-        cls, rows: int, cols: int, row: np.ndarray, col: np.ndarray, val: np.ndarray
-    ) -> "SparseMatrix":
-        return cls(
-            rows,
-            cols,
-            np.asarray(row, dtype=np.int64),
-            np.asarray(col, dtype=np.int64),
-            np.asarray(val, dtype=np.int64),
-        )
+                row.append(r)
+                col.append(c)
+                val.append(int(v))
+        return cls(rows, cols, row, col, val)
 
     @property
     def nnz(self) -> int:
@@ -90,7 +87,7 @@ class SparseMatrix:
     def to_dense(self) -> list[list[int]]:
         out = [[0] * self.cols for _ in range(self.rows)]
         for r, c, v in zip(self.row, self.col, self.val):
-            out[int(r)][int(c)] = int(v)
+            out[r][c] = v
         return out
 
 
@@ -152,17 +149,25 @@ def rank_gf2(m: SparseMatrix, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
     """
     check_rank_budget(m.rows, m.cols, "gf2", mem_budget)
     work = m if m.cols <= m.rows else m.transpose()
-    odd = (np.asarray(work.val, dtype=np.int64) % 2) == 1
-    row = work.row[odd]
-    order = np.argsort(row, kind="stable")
-    row = row[order]
-    col = work.col[odd][order]
-    ends = np.append(np.flatnonzero(np.diff(row)) + 1, len(col))
+    # group the columns of the odd entries by row (a counting sort):
+    # ends[r] starts as the start of row r and is moved to its end
+    counts = array("q", bytes(8 * (work.rows + 1)))
+    for r, v in zip(work.row, work.val):
+        if v & 1:
+            counts[r + 1] += 1
+    ends = array("q", accumulate(counts))
+    del counts
+    cols = array("q", bytes(8 * ends[-1]))
+    for r, c, v in zip(work.row, work.col, work.val):
+        if v & 1:
+            k = ends[r]
+            cols[k] = c
+            ends[r] = k + 1
     pivots: dict[int, int] = {}
     start = 0
-    for end in ends:
+    for end in ends:  # the last end is the total: an empty row
         x = 0
-        for c in col[start:end].tolist():
+        for c in cols[start:end]:
             x |= 1 << c
         start = end
         while x:
@@ -186,6 +191,8 @@ def _dense_rank_mod_p(M: np.ndarray, p: int, block: int = 64) -> int:
     columns and pivot rows are reduced on demand; float remainder is
     slow enough that this deferral dominates the running time at scale.
     """
+    import numpy as np
+
     m, n = M.shape
     # entries stay < (defer + 1) * block * p^2 < 2^53 between reductions
     defer = max(1, int(2**53 / (block * p * p)) - 1)
@@ -246,13 +253,14 @@ def _sketch_mod_p(
     certified by agreement across independent sketches and primes.  The
     sparse S keeps peak memory at roughly the size of the output.
     """
+    import numpy as np
     from scipy.sparse import csr_matrix
 
     n = m.cols
     target = min(m.rows, n + pad)
     per_row = 8
-    vals = np.asarray(m.val, dtype=np.int64) % p
-    A = csr_matrix((vals, (m.row, m.col)), shape=(m.rows, m.cols), dtype=np.int64)
+    row, col, val = (np.frombuffer(a, dtype=np.int64) for a in (m.row, m.col, m.val))
+    A = csr_matrix((val % p, (row, col)), shape=(m.rows, m.cols), dtype=np.int64)
     src = np.repeat(np.arange(m.rows), per_row)
     dst = rng.integers(0, target, size=m.rows * per_row)
     # int64 accumulation stays exact: entries < p^2 * (terms per cell) << 2^63
@@ -271,13 +279,18 @@ def rank_mod_p(
 ) -> int:
     """Rank of an integer matrix modulo p (randomised sketch for very
     rectangular sparse inputs)."""
+    import numpy as np
+
     work = m if m.cols <= m.rows else m.transpose()
     if _check_mod_p_budget(work.rows, work.cols, mem_budget):
         rng = np.random.default_rng((seed, p, work.rows, work.cols))
         M = _sketch_mod_p(work, p, rng)
     else:
+        row, col, val = (
+            np.frombuffer(a, dtype=np.int64) for a in (work.row, work.col, work.val)
+        )
         M = np.zeros((work.rows, work.cols), dtype=np.float64)
-        M[work.row, work.col] = np.asarray(work.val, dtype=np.int64) % p
+        M[row, col] = val % p
     return _dense_rank_mod_p(M, p)
 
 
@@ -352,7 +365,7 @@ def smith_normal_form(
             cols[c].discard(r)
 
     for r, c, v in zip(m.row, m.col, m.val):
-        put(int(r), int(c), int(v))
+        put(r, c, v)
 
     divisors: list[int] = []
     while rows:
@@ -443,7 +456,7 @@ def solve_affine_system(
         raise ValueError("right-hand side length mismatch")
     M = [[Fraction(0)] * cols + [Fraction(b[r])] for r in range(rows)]
     for r, c, v in zip(a.row, a.col, a.val):
-        M[int(r)][int(c)] = Fraction(int(v))
+        M[r][c] = Fraction(v)
 
     pivots: list[int] = []
     r = 0

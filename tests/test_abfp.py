@@ -35,6 +35,19 @@ def path(n):
     return make_graph(n, [(i, i + 1) for i in range(1, n)])
 
 
+def test_memos_are_bounded_lru():
+    memo = abfp._LruMemo()
+    for k in range(memo.SIZE):
+        memo[k] = k
+    assert memo.get(0) == 0  # 0 is now the most recently used
+    memo[memo.SIZE] = memo.SIZE
+    assert len(memo) == memo.SIZE
+    assert memo.get(1) is None and memo.get(0) == 0
+    assert memo.get(memo.SIZE) == memo.SIZE
+    assert isinstance(abfp._A_MEMO, abfp._LruMemo)
+    assert isinstance(abfp._EVIDENCE_MEMO, abfp._LruMemo)
+
+
 def test_inter_triangle():
     assert inter_polynomial(K3).coeffs == (-3, 9)
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import diagclass
 from diagclass import cli
 from diagclass.cli import BUDGET_ENV, EXIT_BUDGET, EXIT_INPUT, main
 from diagclass.linalg import RankCertificationError
@@ -13,6 +18,23 @@ K3 = "3 3\n1 2\n1 3\n2 3\n"
 CYCLE4 = "4 4\n1 2\n2 3\n3 4\n1 4\n"
 NET = "6 6\n1 2\n1 3\n2 3\n1 4\n2 5\n3 6\n"
 CYCLE9 = "9 9\n" + "".join(f"{i} {i % 9 + 1}\n" for i in range(1, 10))
+BULL = "5 5\n1 2\n1 3\n2 3\n1 4\n2 5\n"
+# the staircase h = (3, 4, 5, 6, 6, 6) with vertex k relabelled (5, 2, 6, 1, 4, 3)[k-1]
+STAIRCASE = "6 9\n2 5\n5 6\n2 6\n2 1\n6 1\n6 4\n1 4\n1 3\n4 3\n"
+
+# Runs the CLI in a fresh interpreter, then reports which of numpy and
+# scipy it loaded on the last line of stderr.
+_IMPORT_PROBE = """
+import json, sys
+from diagclass.cli import main
+try:
+    main(sys.argv[1:], prog_name="diagclass")
+except SystemExit as exc:
+    code = exc.code
+heavy = sorted({name.split(".")[0] for name in sys.modules} & {"numpy", "scipy"})
+print(json.dumps(heavy), file=sys.stderr)
+sys.exit(code)
+"""
 
 
 @pytest.fixture
@@ -195,3 +217,35 @@ def test_export_dot(runner):
 def test_version(runner):
     res = runner.invoke(main, ["--version"])
     assert res.exit_code == 0
+
+
+def _heavy_modules_loaded(args, stdin):
+    env = {**os.environ, "PYTHONPATH": str(Path(diagclass.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *args],
+        input=stdin, capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "args, stdin",
+    [
+        (["--version"], ""),
+        (["formality", "-"], CLAW),
+        (["formality", "-"], STAIRCASE),
+        (["gkm", "-", "--field", "f2"], CLAW),
+        (["clusterperm", "-", "--coeff", "z", "--skeleton", "2"], BULL),
+    ],
+    ids=["version", "formality-claw", "formality-staircase", "gkm-f2-claw",
+         "clusterperm-z-bull"],
+)
+def test_cli_runs_without_numpy_or_scipy(args, stdin):
+    assert _heavy_modules_loaded(args, stdin) == []
+
+
+def test_rational_moment_graph_ranks_load_numpy():
+    # the control: C4's L_2 is too large for fraction elimination, so its
+    # rank over Q goes through the modular kernel
+    assert "numpy" in _heavy_modules_loaded(["gkm", "-", "--field", "q"], CYCLE4)

@@ -65,6 +65,19 @@ def test_kernel_matrix_shape_agrees():
     assert kernel_matrix_bytes(4, 3, 2) == 216 * ((240 + 63) // 64) * 8
 
 
+def test_kernel_matrix_entries_fill_distinct_cells():
+    """Every moment-graph edge gives a +1 and a -1 per degree-i monomial,
+    and no two of them share a cell: nnz = 2 |E| C(n+i-1, i)."""
+    for g in (CLAW, named_graph("cycle", 4), named_graph("net"), named_graph("sun3")):
+        gg = build_gkm_graph(g)
+        for d in range(4):
+            m = kernel_matrix(gg, d)
+            assert m.nnz == 2 * gg.num_edges * math.comb(g.n + d - 1, d)
+            assert len({r * m.cols + c for r, c in zip(m.row, m.col)}) == m.nnz
+            assert sorted(set(m.val)) == [-1, 1] and sum(m.val) == 0
+            assert max(m.row) < m.rows and max(m.col) < m.cols
+
+
 def test_equivariant_dims_triangle():
     assert equivariant_betti_series(K3, 2, field="gf2") == [1, 5, 14]
     assert equivariant_betti_series(K3, 2, field="rational") == [1, 5, 14]

@@ -43,6 +43,16 @@ def test_named_graphs():
     assert named_graph("path", 4).num_edges == 3
 
 
+def test_adjacency_is_built_once_and_not_compared():
+    g = named_graph("net")
+    assert g.neighbors(1) is g.neighbors(1)
+    assert g.neighbors(1) == frozenset({2, 3, 4}) and g.degree(4) == 1
+    # equality and hash stay on (n, edges), whether or not the map is built
+    fresh = make_graph(6, list(g.edges))
+    assert fresh == g and hash(fresh) == hash(g)
+    assert repr(fresh) == repr(g)
+
+
 def test_girth():
     assert girth(named_graph("claw")) == math.inf
     assert girth(named_graph("cycle", 5)) == 5

@@ -171,6 +171,22 @@ def test_betti_polynomial_values():
     assert betti_polynomial_hessenberg(HessenbergFunction((1,))).coeffs == (1,)
 
 
+def test_betti_polynomial_matches_permutation_sum():
+    """The subset recursion against the definition, a sum over all n!
+    permutations, for every connected h with n <= 7."""
+    checked = 0
+    for n in range(1, 8):
+        for h in map(HessenbergFunction, connected_hessenberg_functions(n)):
+            counts = [0] * (n * n)
+            for sigma in permutations(range(1, n + 1)):
+                counts[inv_h(sigma, h)] += 1
+            assert betti_polynomial_hessenberg(h).coeffs == tuple(
+                counts[: max(k for k, c in enumerate(counts) if c) + 1]
+            ), h
+            checked += 1
+    assert checked == 197
+
+
 @st.composite
 def connected_hessenberg(draw):
     n = draw(st.integers(min_value=1, max_value=6))

@@ -115,6 +115,39 @@ def test_sparse_matrix_rejects_duplicates_and_bounds():
     assert m.nnz == 1
 
 
+def test_sparse_matrix_storage():
+    m = SparseMatrix.from_triples(3, 2, [(2, 1, -5), (0, 0, 0), (0, 1, 7)])
+    assert all(a.typecode == "q" for a in (m.row, m.col, m.val))
+    assert (list(m.row), list(m.col), list(m.val)) == ([2, 0], [1, 1], [-5, 7])
+    t = m.transpose()
+    assert (t.rows, t.cols, t.nnz) == (2, 3, 2)
+    assert t.to_dense() == [[0, 0, 0], [7, 0, -5]]
+
+
+def test_rank_gf2_ignores_entry_order_and_orientation():
+    rng = random.Random(8)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 30), rng.randint(1, 30)
+        triples = [
+            (i, j, rng.choice((-3, -1, 1, 2, 5)))
+            for i in range(rows)
+            for j in range(cols)
+            if rng.random() < 0.2
+        ]
+        dense = [[0] * cols for _ in range(rows)]
+        for i, j, v in triples:
+            dense[i][j] = v
+        expected = bitset_rank_gf2(dense)
+        rng.shuffle(triples)
+        m = SparseMatrix.from_triples(rows, cols, triples)
+        assert rank_gf2(m) == expected
+        assert rank_gf2(m.transpose()) == expected
+        even = SparseMatrix.from_triples(rows, cols, [(i, j, 2 * v) for i, j, v in triples])
+        assert rank_gf2(even) == 0
+    for rows, cols in [(1, 1), (5, 1), (1, 5), (7, 3)]:
+        assert rank_gf2(SparseMatrix.from_triples(rows, cols, [])) == 0
+
+
 def test_rank_gf2_drops_even_entries():
     # rank 2 over Q, but the even row vanishes mod 2
     m = sparse_from_dense([[2, 2], [1, 3]])
