@@ -16,12 +16,15 @@ import click
 from . import __version__
 from .abfp import compute_A, formality_report
 from .gkm import build_gkm_graph, gkm_total_betti
-from .graphs import Graph, GraphInputError, connected_graphs_up_to_iso, parse_graph
+from .graphs import Graph, GraphInputError, parse_graph
 from .hessenberg import (
     IndifferenceCertificate,
     adi,
     betti_polynomial_hessenberg,
+    connected_hessenberg_functions,
+    hessenberg_to_graph,
     recognize_indifference,
+    staircase_key,
 )
 from .homology import homology_report
 from .linalg import DEFAULT_MEM_BUDGET, ComputationBudgetError, RankCertificationError
@@ -162,19 +165,25 @@ def formality(source: str, mem_budget: int | None, fmt: str) -> None:
 @main.command("batch-hessenberg")
 @click.option("--max-n", type=int, default=5, show_default=True)
 def batch_hessenberg(max_n: int) -> None:
-    """CSV of (graph, h, B, A) for all connected indifference graphs."""
+    """CSV of (graph, h, B, A) for all connected indifference graphs.
+
+    By Roberts' theorem these are the staircase graphs of the connected
+    Hessenberg functions, two of them isomorphic exactly when their
+    staircase keys agree; each class is written once, as the staircase of
+    the h that is its own key.
+    """
     if max_n > 7:
         raise GraphInputError("--max-n capped at 7")
     click.echo("n,edges,h,B,A")
     for n in range(1, max_n + 1):
-        for g in connected_graphs_up_to_iso(n):
-            result = recognize_indifference(g)
-            if not isinstance(result, IndifferenceCertificate):
+        for h in connected_hessenberg_functions(n):
+            if staircase_key(h) != h.h:
                 continue
-            b = betti_polynomial_hessenberg(result.h)
+            g = hessenberg_to_graph(h)
+            b = betti_polynomial_hessenberg(h)
             a = compute_A(g)
             edges = ";".join(f"{i}-{j}" for i, j in g.sorted_edges())
-            click.echo(f'{n},"{edges}","{result.h}","{b}","{a}"')
+            click.echo(f'{n},"{edges}","{h}","{b}","{a}"')
 
 
 @main.command()

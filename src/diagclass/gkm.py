@@ -159,14 +159,13 @@ def equivariant_betti(
     degree: int,
     field: str = "gf2",
     mem_budget: int = DEFAULT_MEM_BUDGET,
-    seed: int = 0,
 ) -> int:
     """dim of the degree-`degree` equivariant cohomology = dim ker L_degree."""
     m = kernel_matrix(gg, degree)
     if field == "gf2":
         rank = rank_gf2(m, mem_budget=mem_budget)
     elif field == "rational":
-        rank = rank_rational(m, seed=seed, mem_budget=mem_budget)
+        rank = rank_rational(m, mem_budget=mem_budget)
     else:
         raise ValueError(f"field must be one of {FIELDS}")
     return m.cols - rank
@@ -177,12 +176,11 @@ def equivariant_betti_series(
     max_degree: int,
     field: str = "gf2",
     mem_budget: int = DEFAULT_MEM_BUDGET,
-    seed: int = 0,
 ) -> list[int]:
     """[dim ker L_0, ..., dim ker L_max_degree] for a pattern graph."""
     gg = build_gkm_graph(g)
     return [
-        equivariant_betti(gg, i, field=field, mem_budget=mem_budget, seed=seed)
+        equivariant_betti(gg, i, field=field, mem_budget=mem_budget)
         for i in range(max_degree + 1)
     ]
 
@@ -283,7 +281,6 @@ def gkm_total_betti(
     g: Graph,
     field: str = "gf2",
     mem_budget: int = DEFAULT_MEM_BUDGET,
-    seed: int = 0,
 ) -> GkmBettiReport:
     """Total Betti number via low-degree kernels plus Poincare duality.
 
@@ -300,7 +297,7 @@ def gkm_total_betti(
     check_kernel_budget(g, half, mem_budget)
     gg = build_gkm_graph(g)
     dims = [
-        equivariant_betti(gg, i, field=field, mem_budget=mem_budget, seed=seed)
+        equivariant_betti(gg, i, field=field, mem_budget=mem_budget)
         for i in range(half + 1)
     ]
     low = ordinary_betti_from_equivariant(dims, g.n)

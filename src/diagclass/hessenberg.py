@@ -63,6 +63,22 @@ class HessenbergFunction:
         return cls(values)
 
 
+def connected_hessenberg_functions(n: int) -> list[HessenbergFunction]:
+    """Every connected Hessenberg function on n positions (i < h(i) for
+    i < n, weakly increasing, h(n) = n) in lexicographic order; there are
+    Catalan(n - 1) of them."""
+
+    def extend(prefix: tuple[int, ...]):
+        i = len(prefix) + 1
+        if i == n:
+            yield HessenbergFunction((*prefix, n))
+            return
+        for v in range(max(prefix[-1] if prefix else 0, i + 1), n + 1):
+            yield from extend((*prefix, v))
+
+    return list(extend(()))
+
+
 def hessenberg_to_graph(h: HessenbergFunction) -> Graph:
     """Staircase graph: edges {i, j} with i < j <= h(i)."""
     edges = [(i, j) for i in range(1, h.n + 1) for j in range(i + 1, h.h[i - 1] + 1)]

@@ -2,25 +2,23 @@
 form over Z, and exact affine systems.
 
 A `SparseMatrix` holds its entries in coordinate form, as three stdlib
-`array('q')` columns (row, column, value).  GF(2) ranks use a streaming
-sparse echelon over Python-int bitsets.  Rational ranks of small matrices
-use fraction elimination; larger ones use multi-modular computation at
-word-size primes with agreement certification, and very rectangular
-sparse inputs are first compressed by a random row sketch, which can only
-lower the rank, so agreement across independent sketches/primes certifies
-the result.  Only that modular path uses NumPy and SciPy, and it imports
-them when it runs: every other computation in the package starts without
-them.
+`array('q')` columns (row, column, value).  There is one rank kernel per
+field, and both are streaming sparse echelons over the rows of the tall
+orientation, grouped by one counting sort: GF(2) ranks reduce Python-int
+bitsets, and ranks over Q are ranks modulo word-size primes, reduced as
+dicts and certified by agreement across primes.  The module uses only
+the standard library.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 # There is one GF(2) kernel, written in Python; the constant stays for
 # tools that record which kernel produced a measurement.
@@ -36,15 +34,6 @@ class RankCertificationError(RuntimeError):
 
 
 DEFAULT_MEM_BUDGET = 2 * 1024**3
-
-# Primes in (2^21, 2^22): small enough that blocked float64 GEMM with
-# panel width 64 stays exact (64 * p^2 < 2^53), large enough that an
-# unlucky prime is rare.
-_PRIME_POOL = [
-    2097593, 2097211, 2098081, 2097823, 2098481, 2099251,
-    2100001, 2100221, 2101009, 2101481, 2102107, 2102681,
-]
-
 
 @dataclass(frozen=True)
 class SparseMatrix:
@@ -93,30 +82,28 @@ class SparseMatrix:
 
 # -- budgets ---------------------------------------------------------
 
-# Rational ranks of matrices with at most this many entries use exact
-# fraction elimination, which the budget does not bound.
-_FRACTION_RANK_MAX_ENTRIES = 40_000
-
-
 def gf2_packed_bytes(rows: int, cols: int) -> int:
     """Bytes the budget charges a GF(2) rank: the bit-packed matrix, one
     64-bit word per 64 columns of each row."""
     return rows * ((cols + 63) // 64) * 8
 
 
-def _check_mod_p_budget(rows: int, cols: int, mem_budget: int) -> bool:
-    """Refuse a rank mod p that would not fit the budget; return whether
-    the tall orientation is compressed by a random row sketch first."""
+def rational_rank_bytes(rows: int, cols: int) -> int:
+    """Bytes the budget charges a rank over Q, from the shape alone:
+    8 * s * (s + 32) + 24 * t + 4096 for t = max(rows, cols) and
+    s = min(rows, cols).
+
+    The first term bounds the pivots of `rank_mod_p`: at most s of them,
+    each with at most s entries of 8 bytes and about 256 bytes of Python
+    objects, which also covers the row being reduced.  The second bounds
+    the grouping temporaries of a matrix with at most t entries: the row
+    starts, 8 bytes per row of the tall orientation (twice while they are
+    summed), and the grouped entries, 8 bytes each.  A matrix with more
+    entries is grouped in passes that fit the budget the charge leaves.
+    The last is the kernel's fixed overhead.
+    """
     tall, short = max(rows, cols), min(rows, cols)
-    dense_bytes = tall * short * 8
-    sketched = tall > short + 64 and dense_bytes > 512 * 1024**2
-    need = (short + 32) * short * 8 if sketched else dense_bytes
-    if need > mem_budget:
-        kind = "sketched" if sketched else "dense"
-        raise ComputationBudgetError(
-            f"{kind} matrix needs {need} bytes, budget {mem_budget}"
-        )
-    return sketched
+    return 8 * short * (short + 32) + 24 * tall + 4096
 
 
 def check_rank_budget(rows: int, cols: int, field: str, mem_budget: int) -> None:
@@ -129,10 +116,50 @@ def check_rank_budget(rows: int, cols: int, field: str, mem_budget: int) -> None
                 f"packed GF(2) matrix needs {need} bytes, budget {mem_budget}"
             )
     elif field == "rational":
-        if rows * cols > _FRACTION_RANK_MAX_ENTRIES:
-            _check_mod_p_budget(rows, cols, mem_budget)
+        need = rational_rank_bytes(rows, cols)
+        if need > mem_budget:
+            raise ComputationBudgetError(
+                f"rank over Q of a {rows}x{cols} matrix needs {need} bytes, "
+                f"budget {mem_budget}"
+            )
     else:
         raise ValueError(f"unknown field {field!r}")
+
+
+def _tall_rows(m: SparseMatrix, p: int, cap: int) -> Iterator[tuple[array, array]]:
+    """The rows of m's tall orientation in order, each as the columns and
+    the residues mod p of its entries that p does not divide.
+
+    A counting sort groups the entries by row: one pass counts them,
+    `accumulate` gives the row starts, and one pass places them, moving
+    each row's start to its end.  Consecutive rows are placed together
+    while they hold at most `cap` entries, which must be at least the
+    width of a row; each such group costs one pass over the entries.
+    """
+    work = m if m.cols <= m.rows else m.transpose()
+    starts = array("q", bytes(8 * (work.rows + 1)))
+    for r, v in zip(work.row, work.val):
+        if v % p:
+            starts[r + 1] += 1
+    starts = array("q", accumulate(starts))
+    top = 0
+    while top < work.rows:
+        first, base = top, starts[top]
+        top = bisect_right(starts, base + cap, first + 1) - 1
+        cols = array("i", bytes(4 * (starts[top] - base)))
+        vals = array("i", bytes(4 * (starts[top] - base)))
+        for r, c, v in zip(work.row, work.col, work.val):
+            v %= p
+            if v and first <= r < top:
+                k = starts[r]
+                cols[k - base] = c
+                vals[k - base] = v
+                starts[r] = k + 1
+        start = 0
+        for r in range(first, top):
+            end = starts[r] - base
+            yield cols[start:end], vals[start:end]
+            start = end
 
 
 # -- GF(2) ------------------------------------------------------------
@@ -148,28 +175,11 @@ def rank_gf2(m: SparseMatrix, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
     the packed matrix the budget charges.
     """
     check_rank_budget(m.rows, m.cols, "gf2", mem_budget)
-    work = m if m.cols <= m.rows else m.transpose()
-    # group the columns of the odd entries by row (a counting sort):
-    # ends[r] starts as the start of row r and is moved to its end
-    counts = array("q", bytes(8 * (work.rows + 1)))
-    for r, v in zip(work.row, work.val):
-        if v & 1:
-            counts[r + 1] += 1
-    ends = array("q", accumulate(counts))
-    del counts
-    cols = array("q", bytes(8 * ends[-1]))
-    for r, c, v in zip(work.row, work.col, work.val):
-        if v & 1:
-            k = ends[r]
-            cols[k] = c
-            ends[r] = k + 1
     pivots: dict[int, int] = {}
-    start = 0
-    for end in ends:  # the last end is the total: an empty row
+    for cols, _ in _tall_rows(m, 2, m.nnz):
         x = 0
-        for c in cols[start:end]:
+        for c in cols:
             x |= 1 << c
-        start = end
         while x:
             key = x.bit_length()
             p = pivots.get(key)
@@ -180,158 +190,67 @@ def rank_gf2(m: SparseMatrix, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
     return len(pivots)
 
 
-# -- rank mod p -------------------------------------------------------
+# -- rank over Q ------------------------------------------------------
 
-def _dense_rank_mod_p(M: np.ndarray, p: int, block: int = 64) -> int:
-    """Right-looking blocked LU mod p on a float64 matrix; destroys M.
+# Primes in (2^21, 2^22): residues fit `array('i')` with room to spare,
+# and a prime this large rarely divides the minors of a small-entry matrix.
+_PRIME_POOL = [2097593, 2097211, 2098081, 2097823, 2098481, 2099251]
 
-    Modular reduction is deferred: float64 arithmetic is exact below
-    2^53, so trailing entries may absorb many unreduced block updates
-    (each bounded by block * p^2) before a full remainder pass.  Pivot
-    columns and pivot rows are reduced on demand; float remainder is
-    slow enough that this deferral dominates the running time at scale.
+
+def rank_mod_p(m: SparseMatrix, p: int, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
+    """Rank of an integer matrix modulo a prime p < 2^31.
+
+    Streaming sparse echelon, built like `rank_gf2`: each row of the tall
+    orientation is held as a dict {column: residue} and reduced against
+    the pivots found so far, keyed by their highest column, until it is
+    zero or becomes a new pivot.  A pivot is normalised to a leading 1,
+    which its key implies, and negated, so that reducing by it is an
+    addition; its other entries are stored as two `array('i')`, columns
+    and residues, at 8 bytes an entry.  The peak stays under
+    `rational_rank_bytes` for a matrix with at most max(rows, cols)
+    entries, and under the budget for any matrix: the entries are grouped
+    in as few passes as the budget left over allows.
     """
-    import numpy as np
-
-    m, n = M.shape
-    # entries stay < (defer + 1) * block * p^2 < 2^53 between reductions
-    defer = max(1, int(2**53 / (block * p * p)) - 1)
-    r = 0
-    col = 0
-    dirty = 0
-    while col < n and r < m:
-        c1 = min(col + block, n)
-        r0 = r
-        pivcols: list[int] = []
-        for j in range(col, c1):
-            M[r:, j] %= p
-            nz = np.nonzero(M[r:, j])[0]
-            if nz.size == 0:
-                continue
-            pr = r + int(nz[0])
-            if pr != r:
-                M[[r, pr]] = M[[pr, r]]
-            M[r, j:c1] %= p
-            inv = pow(int(M[r, j]), p - 2, p)
-            if r + 1 < m:
-                f = (M[r + 1 :, j] * inv) % p
-                M[r + 1 :, j:c1] -= np.outer(f, M[r, j:c1])
-                M[r + 1 :, j] = f  # multipliers, reused by the trailing update
-            pivcols.append(j)
-            r += 1
-        if pivcols and c1 < n:
-            # finish the pivot-row block on trailing columns (unit lower solve)
-            for i in range(len(pivcols) - 1):
-                rowi = r0 + i
-                M[rowi, c1:] %= p
-                M[rowi + 1 : r, c1:] -= np.outer(
-                    M[rowi + 1 : r, pivcols[i]], M[rowi, c1:]
-                )
-            M[r0:r, c1:] %= p  # U must be reduced before the matmul
-            if r < m:
-                L = M[r:, pivcols]
-                slab = max(1, (64 * 1024**2) // (8 * max(1, m - r)))
-                for j0 in range(c1, n, slab):
-                    j1 = min(j0 + slab, n)
-                    M[r:, j0:j1] -= L @ M[r0:r, j0:j1]
-                dirty += 1
-                if dirty >= defer:
-                    M[r:, c1:] %= p
-                    dirty = 0
-        col = c1
-    return r
+    check_rank_budget(m.rows, m.cols, "rational", mem_budget)
+    short, tall = min(m.rows, m.cols), max(m.rows, m.cols)
+    spare = mem_budget - rational_rank_bytes(m.rows, m.cols)
+    pivot_cols: list[Optional[array]] = [None] * short
+    pivot_vals: list[Optional[array]] = [None] * short
+    rank = 0
+    for cols, vals in _tall_rows(m, p, tall + spare // 8):
+        x = dict(zip(cols, vals))
+        get = x.get
+        while x:
+            key = max(x)
+            f = x.pop(key)
+            pc = pivot_cols[key]
+            if pc is None:
+                g = p - pow(f, -1, p)
+                pivot_cols[key] = array("i", x)
+                pivot_vals[key] = array("i", [v * g % p for v in x.values()])
+                rank += 1
+                break
+            for c, v in zip(pc, pivot_vals[key]):
+                w = (get(c, 0) + f * v) % p
+                if w:
+                    x[c] = w
+                else:
+                    del x[c]
+    return rank
 
 
-def _sketch_mod_p(
-    m: SparseMatrix, p: int, rng: np.random.Generator, pad: int = 32
-) -> np.ndarray:
-    """Random row compression S @ M mod p, shape (cols + pad, cols).
+def rank_rational(m: SparseMatrix, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
+    """Exact rank over Q, from ranks modulo word-size primes.
 
-    S is a sparse random projection: each input row is scattered into a
-    few output rows with random nonzero coefficients.  rank(S M) <=
-    rank(M) always; equality holds with high probability and is
-    certified by agreement across independent sketches and primes.  The
-    sparse S keeps peak memory at roughly the size of the output.
+    A rank mod p never exceeds the rank r over Q, and falls below it only
+    when p divides every r x r minor.  Three primes that agree give the
+    rank; otherwise three more are tried, and the highest rank is returned
+    if at least three of the six reach it.
     """
-    import numpy as np
-    from scipy.sparse import csr_matrix
-
-    n = m.cols
-    target = min(m.rows, n + pad)
-    per_row = 8
-    row, col, val = (np.frombuffer(a, dtype=np.int64) for a in (m.row, m.col, m.val))
-    A = csr_matrix((val % p, (row, col)), shape=(m.rows, m.cols), dtype=np.int64)
-    src = np.repeat(np.arange(m.rows), per_row)
-    dst = rng.integers(0, target, size=m.rows * per_row)
-    # int64 accumulation stays exact: entries < p^2 * (terms per cell) << 2^63
-    coef = rng.integers(1, p, size=m.rows * per_row)
-    S = csr_matrix((coef, (dst, src)), shape=(target, m.rows), dtype=np.int64)
-    out = (S @ A).toarray()
-    out %= p
-    return out.astype(np.float64)
-
-
-def rank_mod_p(
-    m: SparseMatrix,
-    p: int,
-    seed: int = 0,
-    mem_budget: int = DEFAULT_MEM_BUDGET,
-) -> int:
-    """Rank of an integer matrix modulo p (randomised sketch for very
-    rectangular sparse inputs)."""
-    import numpy as np
-
-    work = m if m.cols <= m.rows else m.transpose()
-    if _check_mod_p_budget(work.rows, work.cols, mem_budget):
-        rng = np.random.default_rng((seed, p, work.rows, work.cols))
-        M = _sketch_mod_p(work, p, rng)
-    else:
-        row, col, val = (
-            np.frombuffer(a, dtype=np.int64) for a in (work.row, work.col, work.val)
-        )
-        M = np.zeros((work.rows, work.cols), dtype=np.float64)
-        M[row, col] = val % p
-    return _dense_rank_mod_p(M, p)
-
-
-def _rank_fraction_dense(dense: Sequence[Sequence[int]]) -> int:
-    """Deterministic exact rank by fraction Gaussian elimination (small)."""
-    M = [[Fraction(x) for x in row] for row in dense]
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        for i in range(r + 1, rows):
-            if M[i][c] != 0:
-                f = M[i][c] * inv
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def rank_rational(
-    m: SparseMatrix,
-    seed: int = 0,
-    mem_budget: int = DEFAULT_MEM_BUDGET,
-) -> int:
-    """Exact rank over Q.
-
-    Small matrices use deterministic fraction elimination; larger ones use
-    modular ranks at several word-size primes, certified by agreement.
-    """
-    if m.rows * m.cols <= _FRACTION_RANK_MAX_ENTRIES:
-        return _rank_fraction_dense(m.to_dense())
-    ranks = [rank_mod_p(m, p, seed=seed, mem_budget=mem_budget) for p in _PRIME_POOL[:3]]
+    ranks = [rank_mod_p(m, p, mem_budget) for p in _PRIME_POOL[:3]]
     if len(set(ranks)) == 1:
         return ranks[0]
-    ranks += [rank_mod_p(m, p, seed=seed + 1, mem_budget=mem_budget) for p in _PRIME_POOL[3:6]]
+    ranks += [rank_mod_p(m, p, mem_budget) for p in _PRIME_POOL[3:]]
     best = max(ranks)
     if ranks.count(best) >= 3:
         return best

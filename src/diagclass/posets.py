@@ -360,47 +360,23 @@ def _assignment_poset(faces: list, n: int, element_cap: int, name: str) -> Grade
 
 
 def skeleton(p: GradedPoset, r: int) -> GradedPoset:
-    """Restriction to elements of rank <= r, covers re-derived by
-    transitive reduction inside the subset."""
+    """Restriction to elements of rank <= r.
+
+    Rank never drops along a cover, so the kept elements form a down-set:
+    every interval between two of them lies inside it, and their covers
+    are the parent's covers between kept elements.
+    """
     if r < 0:
         raise ValueError("rank bound must be nonnegative")
     keep = [i for i in range(len(p)) if p.rank[i] <= r]
-    keep_set = set(keep)
     if len(keep) == len(p):
         return p
     newindex = {old: new for new, old in enumerate(keep)}
-    below = p.strict_downsets()
-    mask = 0
-    for i in keep:
-        mask |= 1 << i
-    covers = []
-    for y in keep:
-        # maximal elements of the restricted down-set are the new covers
-        down = below[y] & mask
-        d = down
-        while d:
-            x = d & -d
-            xi = x.bit_length() - 1
-            if _is_maximal(xi, down, below):
-                covers.append((newindex[xi], newindex[y]))
-            d ^= x
     return GradedPoset(
         labels=[p.labels[i] for i in keep],
         rank=[p.rank[i] for i in keep],
-        covers=sorted(set(covers)),
+        covers=[(newindex[lo], newindex[hi]) for lo, hi in p.covers if hi in newindex],
     )
-
-
-def _is_maximal(xi: int, down: int, below: list[int]) -> bool:
-    """No other element of the down-set lies strictly above xi."""
-    rest = down & ~(1 << xi)
-    while rest:
-        z = rest & -rest
-        zi = z.bit_length() - 1
-        if below[zi] >> xi & 1:
-            return False
-        rest ^= z
-    return True
 
 
 @dataclass

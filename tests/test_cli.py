@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -10,6 +11,14 @@ from click.testing import CliRunner
 import diagclass
 from diagclass import cli
 from diagclass.cli import BUDGET_ENV, EXIT_BUDGET, EXIT_INPUT, main
+from diagclass.graphs import connected_graphs_up_to_iso
+from diagclass.hessenberg import (
+    HessenbergFunction,
+    hessenberg_to_graph,
+    is_indifference,
+    recognize_indifference,
+    staircase_key,
+)
 from diagclass.linalg import RankCertificationError
 
 CLAW = "4 3\n1 2\n1 3\n1 4\n"
@@ -151,6 +160,26 @@ def test_batch_hessenberg(runner):
     assert res.exit_code == EXIT_INPUT
 
 
+def test_batch_hessenberg_rows_are_the_indifference_classes(runner):
+    res = runner.invoke(main, ["batch-hessenberg", "--max-n", "6"])
+    assert res.exit_code == 0
+    keys: dict[int, list] = {}
+    for n, edges, h_text, _, _ in list(csv.reader(res.output.splitlines()))[1:]:
+        h = HessenbergFunction.parse(h_text)
+        g = hessenberg_to_graph(h)
+        assert edges == ";".join(f"{i}-{j}" for i, j in g.sorted_edges())
+        keys.setdefault(int(n), []).append(staircase_key(h))
+    # the reference: every connected graph, recognised one by one
+    for n in range(1, 7):
+        expected = {
+            staircase_key(recognize_indifference(g).h)
+            for g in connected_graphs_up_to_iso(n)
+            if is_indifference(g)
+        }
+        assert sorted(keys[n]) == sorted(expected)
+    assert sum(map(len, keys.values())) == 44
+
+
 def test_clusterperm_rational(runner):
     res = runner.invoke(
         main, ["clusterperm", "-", "--skeleton", "1", "--coeff", "q"], input=PATH3
@@ -237,15 +266,13 @@ def _heavy_modules_loaded(args, stdin):
         (["formality", "-"], STAIRCASE),
         (["gkm", "-", "--field", "f2"], CLAW),
         (["clusterperm", "-", "--coeff", "z", "--skeleton", "2"], BULL),
+        (["gkm", "-", "--field", "q"], CYCLE4),
+        (["clusterperm", "-", "--coeff", "q"], CYCLE4),
+        (["batch-hessenberg", "--max-n", "4"], ""),
     ],
     ids=["version", "formality-claw", "formality-staircase", "gkm-f2-claw",
-         "clusterperm-z-bull"],
+         "clusterperm-z-bull", "gkm-q-cycle4", "clusterperm-q-cycle4",
+         "batch-hessenberg"],
 )
 def test_cli_runs_without_numpy_or_scipy(args, stdin):
     assert _heavy_modules_loaded(args, stdin) == []
-
-
-def test_rational_moment_graph_ranks_load_numpy():
-    # the control: C4's L_2 is too large for fraction elimination, so its
-    # rank over Q goes through the modular kernel
-    assert "numpy" in _heavy_modules_loaded(["gkm", "-", "--field", "q"], CYCLE4)

@@ -166,7 +166,8 @@ def test_budget_precheck_names_the_matrix():
 
 
 def test_sun3_rational_agrees_with_gf2():
-    """~10 minutes single-core; verified once and recorded, rerun on demand."""
+    """About a minute: three primes on each of L_0..L_2, and sun3's L_2
+    (48,600 x 15,120) takes about 20 s per prime; rerun on demand."""
     import os
 
     if os.environ.get("DIAGCLASS_STRETCH") != "1":

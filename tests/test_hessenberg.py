@@ -24,6 +24,7 @@ from diagclass.hessenberg import (
     IndifferenceCertificate,
     adi,
     betti_polynomial_hessenberg,
+    connected_hessenberg_functions,
     hessenberg_to_graph,
     inv_h,
     is_indifference,
@@ -176,7 +177,7 @@ def test_betti_polynomial_matches_permutation_sum():
     permutations, for every connected h with n <= 7."""
     checked = 0
     for n in range(1, 8):
-        for h in map(HessenbergFunction, connected_hessenberg_functions(n)):
+        for h in connected_hessenberg_functions(n):
             counts = [0] * (n * n)
             for sigma in permutations(range(1, n + 1)):
                 counts[inv_h(sigma, h)] += 1
@@ -239,25 +240,11 @@ def test_adi_girth_bound_random():
         done += 1
 
 
-def connected_hessenberg_functions(n):
-    """All h with i < h(i) for i < n, weakly increasing, h(n) = n."""
-
-    def rec(prefix):
-        i = len(prefix) + 1
-        if i == n:
-            yield (*prefix, n)
-            return
-        for v in range(max(prefix[-1] if prefix else 0, i + 1), n + 1):
-            yield from rec([*prefix, v])
-
-    return list(rec([]))
-
-
 def test_staircase_key_classifies_up_to_isomorphism():
     rng = random.Random(11)
     total = 0
     for n in range(1, 8):
-        hs = [HessenbergFunction(h) for h in connected_hessenberg_functions(n)]
+        hs = connected_hessenberg_functions(n)
         total += len(hs)
         keys, canon = {}, {}
         for h in hs:

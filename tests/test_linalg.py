@@ -3,26 +3,33 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
-import numpy as np
 import pytest
 
+from diagclass import linalg
 from diagclass.gkm import build_gkm_graph, kernel_matrix
-from diagclass.graphs import named_graph
+from diagclass.graphs import connected_graphs_up_to_iso, named_graph
 from diagclass.homology import boundary_matrix
 from diagclass.linalg import (
     ComputationBudgetError,
+    RankCertificationError,
     SparseMatrix,
-    _dense_rank_mod_p,
-    _sketch_mod_p,
+    check_rank_budget,
     gf2_packed_bytes,
     rank_gf2,
     rank_mod_p,
     rank_rational,
+    rational_rank_bytes,
     smith_normal_form,
     solve_affine_system,
 )
-from diagclass.posets import cluster_permutohedron, order_complex, skeleton
+from diagclass.posets import (
+    cluster_permutohedron,
+    graphicahedron,
+    order_complex,
+    skeleton,
+)
 
 PRIME = 2097593
 
@@ -238,29 +245,37 @@ def test_rank_mod_p_against_fraction_oracle():
         if not any(any(r) for r in dense):
             continue
         # small entries: rank mod a 21-bit prime equals the rational rank
-        assert rank_mod_p(sparse_from_dense(dense), PRIME) == fraction_rank(dense)
+        m = sparse_from_dense(dense)
+        assert rank_mod_p(m, PRIME) == fraction_rank(dense)
+        # a budget at the charge groups the entries in several passes
+        tight = rational_rank_bytes(rows, cols)
+        assert rank_mod_p(m, PRIME, mem_budget=tight) == fraction_rank(dense)
 
 
-def test_dense_lu_low_rank():
-    rng = np.random.default_rng(4)
-    U = rng.integers(-3, 4, size=(120, 17))
-    V = rng.integers(-3, 4, size=(17, 90))
-    M = ((U @ V) % PRIME).astype(np.float64)
-    assert _dense_rank_mod_p(M, PRIME) == 17
+def low_rank_product(rng, rows, cols, rank):
+    """The integer matrix U V for random U (rows x rank) and V (rank x cols)
+    with entries in -3..3, and its nonzero entries as a SparseMatrix."""
+    u = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows)]
+    v = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rank)]
+    vt = list(zip(*v))
+    triples = []
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(vt):
+            x = sum(map(mul, ui, vj))
+            if x:
+                triples.append((i, j, x))
+    return SparseMatrix.from_triples(rows, cols, triples)
 
 
-def test_sketch_preserves_rank():
-    rng = np.random.default_rng(12)
-    U = rng.integers(-3, 4, size=(5000, 60))
-    V = rng.integers(-3, 4, size=(60, 150))
-    M = U @ V
-    m = SparseMatrix.from_triples(
-        5000, 150,
-        [(i, j, int(M[i, j])) for i in range(5000) for j in range(150) if M[i, j]],
-    )
-    sk = _sketch_mod_p(m, PRIME, np.random.default_rng(0))
-    assert sk.shape[0] == 150 + 32
-    assert _dense_rank_mod_p(sk, PRIME) == 60
+def test_rank_mod_p_low_rank_product():
+    m = low_rank_product(random.Random(4), 120, 90, 17)
+    assert rank_mod_p(m, PRIME) == 17
+    assert rank_mod_p(m.transpose(), PRIME) == 17
+
+
+def test_rank_mod_p_tall_low_rank_product():
+    m = low_rank_product(random.Random(12), 5000, 150, 60)
+    assert rank_mod_p(m, PRIME) == 60
 
 
 def test_rank_rational_paths_agree():
@@ -268,6 +283,81 @@ def test_rank_rational_paths_agree():
     dense = [[rng.randint(-5, 5) for _ in range(9)] for _ in range(14)]
     m = sparse_from_dense(dense)
     assert rank_rational(m) == fraction_rank(dense)
+
+
+def test_rank_rational_matches_fractions_on_small_maps():
+    """Every boundary map of both posets and every L_0..L_2 of every
+    connected pattern with n <= 4, up to 40,000 entries dense."""
+    checked = 0
+    for n in range(1, 5):
+        for g in connected_graphs_up_to_iso(n):
+            maps = []
+            for build in (cluster_permutohedron, graphicahedron):
+                sc = order_complex(build(g))
+                maps += [boundary_matrix(sc, d) for d in range(sc.dim + 1)]
+            if n > 1:
+                gg = build_gkm_graph(g)
+                maps += [kernel_matrix(gg, i) for i in range(3)]
+            for m in maps:
+                if m.rows * m.cols <= 40_000:
+                    assert rank_rational(m) == fraction_rank(m.to_dense())
+                    checked += 1
+    assert checked == 57
+
+
+def test_rank_rational_prime_agreement(monkeypatch):
+    m = sparse_from_dense([[1, 0], [0, 1]])
+
+    def fake_ranks(ranks):
+        it = iter(ranks)
+        monkeypatch.setattr(linalg, "rank_mod_p", lambda m, p, mem_budget: next(it))
+
+    fake_ranks([2, 1, 2, 2, 1, 2])
+    assert rank_rational(m) == 2
+    fake_ranks([2, 1, 2, 1, 1, 0])
+    with pytest.raises(RankCertificationError, match=r"disagree: \[2, 1, 2, 1, 1, 0\]"):
+        rank_rational(m)
+
+
+def test_rank_rational_refusal_message():
+    m = sparse_from_dense([[1, 2, 3], [4, 5, 6]])
+    assert rational_rank_bytes(2, 3) == 8 * 2 * 34 + 24 * 3 + 4096
+    budget = rational_rank_bytes(2, 3) - 1
+    want = f"rank over Q of a 2x3 matrix needs {budget + 1} bytes, budget {budget}"
+    for refuse in (
+        lambda: rank_rational(m, mem_budget=budget),
+        lambda: rank_mod_p(m, PRIME, mem_budget=budget),
+        lambda: check_rank_budget(2, 3, "rational", budget),
+    ):
+        with pytest.raises(ComputationBudgetError) as ei:
+            refuse()
+        assert str(ei.value) == want
+    assert rank_rational(m, mem_budget=budget + 1) == 2
+
+
+def test_rank_mod_p_peak_memory_within_charge():
+    star = kernel_matrix(build_gkm_graph(named_graph("star", 4)), 2)
+    n = 20_000
+    augmentation = SparseMatrix.from_triples(1, n, ((0, j, 1) for j in range(n)))
+    # full rank, so the pivots hold 80 * 81 / 2 entries; a budget at the
+    # charge groups its 6,400 entries 80 at a time
+    rng = random.Random(5)
+    dense = SparseMatrix.from_triples(
+        80, 80, [(i, j, rng.randint(1, 9)) for i in range(80) for j in range(80)]
+    )
+    for m, rank, budget in (
+        (star, 1639, linalg.DEFAULT_MEM_BUDGET),
+        (augmentation, 1, linalg.DEFAULT_MEM_BUDGET),
+        (dense, 80, rational_rank_bytes(80, 80)),
+    ):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert rank_mod_p(m, PRIME, mem_budget=budget) == rank
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < rational_rank_bytes(m.rows, m.cols)
 
 
 def test_smith_normal_form_fixtures():

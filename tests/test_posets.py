@@ -1,9 +1,15 @@
 import json
 import math
 
+import networkx as nx
 import pytest
 
-from diagclass.graphs import GraphInputError, make_graph, named_graph
+from diagclass.graphs import (
+    GraphInputError,
+    connected_graphs_up_to_iso,
+    make_graph,
+    named_graph,
+)
 from diagclass.linalg import ComputationBudgetError
 from diagclass.posets import (
     all_clusterings,
@@ -136,6 +142,28 @@ def test_skeleton():
     assert skeleton(cp, cp.max_rank) is cp
     claw_sk = skeleton(cluster_permutohedron(named_graph("claw")), 2)
     assert len(claw_sk) == 72
+
+
+def test_skeleton_covers_are_the_transitive_reduction():
+    # the reference: the order restricted to the kept elements, reduced
+    for n in range(1, 5):
+        for g in connected_graphs_up_to_iso(n):
+            for build in (cluster_permutohedron, graphicahedron):
+                p = build(g)
+                below = p.strict_downsets()
+                for r in range(p.max_rank + 1):
+                    keep = [i for i in range(len(p)) if p.rank[i] <= r]
+                    order = nx.DiGraph()
+                    order.add_nodes_from(range(len(keep)))
+                    order.add_edges_from(
+                        (a, b)
+                        for b, y in enumerate(keep)
+                        for a, x in enumerate(keep)
+                        if below[y] >> x & 1
+                    )
+                    sk = skeleton(p, r)
+                    assert sk.labels == [p.labels[i] for i in keep]
+                    assert set(sk.covers) == set(nx.transitive_reduction(order).edges)
 
 
 def test_skeleton_max_rank_prebuild_agrees():
