@@ -11,7 +11,6 @@ from .graphs import (
     named_graph,
     induced_subgraph,
     girth,
-    graphs_isomorphic,
     find_forbidden_induced,
     connected_graphs_up_to_iso,
     parse_graph,
@@ -62,7 +61,6 @@ from .gkm import (
 )
 from .abfp import (
     FormalityVerdict,
-    face_betti_polynomial,
     compute_A,
     inter_polynomial,
     abfp_consistency_test,

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .graphs import (
@@ -24,10 +24,13 @@ from .graphs import (
     Graph,
     GraphInputError,
     induced_subgraph,
+    named_graph,
 )
 from .hessenberg import (
+    HessenbergFunction,
     IndifferenceCertificate,
     betti_polynomial_hessenberg,
+    hessenberg_to_graph,
     recognize_indifference,
     staircase_key,
 )
@@ -53,63 +56,6 @@ from .posets import (
 T_MINUS_1 = Polynomial([-1, 1])
 
 
-class NonIndifferenceFaceError(GraphInputError):
-    """A cluster of the face induces a non-indifference subgraph."""
-
-    def __init__(self, block: frozenset[int]):
-        self.block = block
-        super().__init__(f"cluster {sorted(block)} is not an indifference graph")
-
-
-def _block_certificate(g: Graph, block: frozenset[int]) -> IndifferenceCertificate:
-    sub = induced_subgraph(g, block)
-    result = recognize_indifference(sub)
-    if isinstance(result, ForbiddenWitness):
-        raise NonIndifferenceFaceError(block)
-    return result
-
-
-def face_betti_polynomial(c: Clustering, g: Graph) -> Polynomial:
-    """Product over clusters of the Betti polynomial of the reordered cluster."""
-    out = Polynomial.one()
-    for block in sorted(c, key=min):
-        cert = _block_certificate(g, block)
-        out = out * betti_polynomial_hessenberg(cert.h)
-    return out
-
-
-class _LruMemo:
-    """At most `SIZE` entries; storing one more evicts the least recently
-    used, so a long-lived process keeps a bounded memo."""
-
-    SIZE = 1024
-
-    def __init__(self) -> None:
-        self._entries: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        value = self._entries.get(key)
-        if value is not None:
-            self._entries.move_to_end(key)
-        return value
-
-    def __setitem__(self, key, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        if len(self._entries) > self.SIZE:
-            self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-# Keyed by isomorphism class: staircase_key for A, the witness shape and
-# the budget for the evidence (every evidence field is an isomorphism
-# invariant of the witness's induced graph).
-_A_MEMO = _LruMemo()
-_EVIDENCE_MEMO = _LruMemo()
-
-
 def compute_A(g: Graph) -> Polynomial:
     """Orbit-space polynomial A = (B - Inter) / (t-1)^{n-1}.
 
@@ -121,15 +67,17 @@ def compute_A(g: Graph) -> Polynomial:
     result = recognize_indifference(g)
     if isinstance(result, ForbiddenWitness):
         raise GraphInputError("compute_A requires an indifference graph")
-    key = staircase_key(result.h)
-    cached = _A_MEMO.get(key)
-    if cached is not None:
-        return cached
-    B = betti_polynomial_hessenberg(result.h)
-    inter = inter_polynomial(g)
-    a = poly_divide_exact(B - inter, T_MINUS_1 ** (g.n - 1))
-    _A_MEMO[key] = a
-    return a
+    return _staircase_A(staircase_key(result.h))
+
+
+@lru_cache(maxsize=1024)
+def _staircase_A(key: tuple[int, ...]) -> Polynomial:
+    """A of the staircase graph of h = key; the key is a complete
+    isomorphism invariant, so this is A of every graph with that key."""
+    h = HessenbergFunction(key)
+    B = betti_polynomial_hessenberg(h)
+    inter = inter_polynomial(hessenberg_to_graph(h))
+    return poly_divide_exact(B - inter, T_MINUS_1 ** (h.n - 1))
 
 
 def _face_A(c: Clustering, g: Graph) -> Polynomial:
@@ -146,7 +94,7 @@ def inter_polynomial(g: Graph) -> Polynomial:
     if not g.is_connected():
         raise GraphInputError("intermediate polynomial requires a connected graph")
     out = Polynomial.zero()
-    for c in all_clusterings(g):
+    for c in all_clusterings(g).labels:
         if len(c) == 1:
             continue  # the top face is the manifold itself, not a proper face
         term = _face_A(c, g) * (T_MINUS_1 ** clustering_rank(c, g.n))
@@ -313,7 +261,7 @@ def _abfp_evidence(wg: Graph, mem_budget: int) -> Optional[dict]:
         ordinary_betti_from_equivariant,
     )
 
-    check_kernel_budget(wg, 2, mem_budget)
+    check_kernel_budget(wg, 2, "gf2", mem_budget)
     gg = build_gkm_graph(wg)
     dims = [equivariant_betti(gg, i, field="gf2", mem_budget=mem_budget) for i in range(3)]
     low = ordinary_betti_from_equivariant(dims, wg.n)
@@ -333,9 +281,9 @@ def formality_report(
     g: Graph, mem_budget: int = DEFAULT_MEM_BUDGET
 ) -> FormalityVerdict:
     """Decide diagonalizability: Formal with a staircase certificate, or
-    NonFormal with machine-checkable numeric evidence on the forbidden
-    witness's induced subgraph, or undetermined if every strategy
-    exceeds the budget.
+    NonFormal with machine-checkable numeric evidence on the shape of a
+    smallest forbidden witness, or undetermined if every strategy exceeds
+    the budget.
 
     Strategies run cheapest-first.  The skeleton-homology obstruction is
     attempted for claw and cycle witnesses, where the rank-2 skeleton
@@ -349,13 +297,25 @@ def formality_report(
     if isinstance(result, IndifferenceCertificate):
         return FormalityVerdict(g, "formal", certificate=result)
     witness = result
-    wg = induced_subgraph(g, witness.vertices)
-    cache_key = (witness.kind, witness.length, mem_budget)
-    cached = _EVIDENCE_MEMO.get(cache_key)
-    if cached is not None:
-        return FormalityVerdict(g, "nonformal", witness=witness, evidence=cached)
+    evidence = _witness_evidence(witness.kind, witness.length, mem_budget)
+    if evidence is None:
+        return FormalityVerdict(g, "undetermined", witness=witness)
+    return FormalityVerdict(g, "nonformal", witness=witness, evidence=evidence)
+
+
+@lru_cache(maxsize=1024)
+def _witness_evidence(kind: str, length: Optional[int], mem_budget: int) -> Optional[dict]:
+    """Evidence computed on the model graph of a witness shape, or None when
+    every strategy exceeds the budget.  Every evidence field is an
+    isomorphism invariant of the witness, so the shape and the budget
+    determine it.
+
+    The strategies are looked up when this runs, not when the module is
+    imported, so a rebinding of their names is seen.
+    """
+    wg = named_graph(kind, length)
     heavy = (_total_betti_evidence, _abfp_evidence)
-    if witness.kind in ("claw", "cycle"):
+    if kind in ("claw", "cycle"):
         strategies = (_skeleton_homology_evidence, *heavy)
     else:
         strategies = (*heavy, _skeleton_homology_evidence)
@@ -367,12 +327,9 @@ def formality_report(
             budget_hit = True
             continue
         if evidence is not None:
-            _EVIDENCE_MEMO[cache_key] = evidence
-            return FormalityVerdict(
-                g, "nonformal", witness=witness, evidence=evidence
-            )
+            return evidence
     if budget_hit:
-        return FormalityVerdict(g, "undetermined", witness=witness)
+        return None
     raise AssertionError(
         "forbidden witness present but no obstruction found"
     )  # pragma: no cover

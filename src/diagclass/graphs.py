@@ -189,51 +189,6 @@ def girth(g: Graph):
     return best
 
 
-def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Isomorphism test by degree-pruned backtracking; intended for n <= 10."""
-    if g1.n != g2.n or g1.num_edges != g2.num_edges:
-        return False
-    deg1 = sorted(g1.degree(v) for v in g1.vertices())
-    deg2 = sorted(g2.degree(v) for v in g2.vertices())
-    if deg1 != deg2:
-        return False
-    adj1 = g1._adjacency
-    adj2 = g2._adjacency
-    n = g1.n
-    order = sorted(g1.vertices(), key=lambda v: -len(adj1[v]))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        v = order[k]
-        dv = len(adj1[v])
-        for w in g2.vertices():
-            if w in used or len(adj2[w]) != dv:
-                continue
-            ok = True
-            for u in adj1[v]:
-                if u in mapping and mapping[u] not in adj2[w]:
-                    ok = False
-                    break
-            if ok:
-                for u, mu in mapping.items():
-                    if u not in adj1[v] and mu in adj2[w]:
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if extend(k + 1):
-                    return True
-                del mapping[v]
-                used.discard(w)
-        return False
-
-    return extend(0)
-
-
 # -- forbidden induced subgraphs --------------------------------------
 
 @dataclass(frozen=True)
@@ -248,40 +203,118 @@ class ForbiddenWitness:
         return {"claw": "Claw", "net": "Net", "sun3": "Sun3"}[self.kind]
 
     def model_graph(self) -> Graph:
-        if self.kind == "cycle":
-            return named_graph("cycle", self.length)
-        return named_graph(self.kind)
+        return named_graph(self.kind, self.length)
 
 
-def _is_induced_cycle(g: Graph, vs: tuple[int, ...]) -> bool:
-    sub = induced_subgraph(g, vs)
-    if sub.num_edges != sub.n:
-        return False
-    return all(sub.degree(v) == 2 for v in sub.vertices()) and sub.is_connected()
+def _claw(g: Graph) -> Optional[tuple[int, ...]]:
+    """An induced claw: a vertex with three pairwise non-adjacent neighbours."""
+    adj = g._adjacency
+    for v in g.vertices():
+        for a in sorted(adj[v]):
+            far = sorted(x for x in adj[v] - adj[a] if x > a)
+            for i, b in enumerate(far):
+                for c in far[i + 1:]:
+                    if c not in adj[b]:
+                        return (v, a, b, c)
+    return None
+
+
+def _hole_through(
+    adj: dict[int, frozenset[int]], b: int, a: int, longest: int
+) -> Optional[tuple[int, ...]]:
+    """A shortest chordless cycle, in cycle order, through the edge ab,
+    if one has fewer than `longest` vertices.
+
+    Such a cycle is b plus an a-c path whose inner vertices avoid N[b],
+    for a neighbour c of b that is not adjacent to a; conversely b plus a
+    shortest such path is chordless.  So it is found by a breadth-first
+    search from a that avoids N[b] and stops at the first such c.
+    """
+    targets = adj[b] - adj[a] - {a}
+    closed = adj[b] | {b}
+    parent = {a: a}
+    frontier = [a]
+    size = 3  # vertices of a cycle closed from the frontier
+    while frontier and targets and size < longest:
+        nxt = []
+        for u in frontier:
+            for w in sorted(adj[u]):
+                if w in targets:
+                    path = [w, u]
+                    while path[-1] != a:
+                        path.append(parent[path[-1]])
+                    return (b, *path)
+                if w not in parent and w not in closed:
+                    parent[w] = u
+                    nxt.append(w)
+        frontier = nxt
+        size += 1
+    return None
+
+
+def _shortest_hole(g: Graph) -> Optional[tuple[int, ...]]:
+    """A shortest chordless cycle of length at least 4, or None when g is
+    chordal: the shortest of the holes through each edge, each direction."""
+    adj = g._adjacency
+    best: Optional[tuple[int, ...]] = None
+    for b in g.vertices():
+        for a in sorted(adj[b]):
+            hole = _hole_through(adj, b, a, len(best) if best else g.n + 1)
+            if hole is not None:
+                best = hole
+                if len(best) == 4:
+                    return best
+    return best
+
+
+def _net_or_sun(g: Graph) -> Optional[ForbiddenWitness]:
+    """An induced net or 3-sun: a triangle abc with three pairwise
+    non-adjacent outside vertices whose neighbours in the triangle are a, b
+    and c (net), or ab, bc and ca (3-sun)."""
+    adj = g._adjacency
+    for a in g.vertices():
+        for b in sorted(x for x in adj[a] if x > a):
+            for c in sorted(x for x in adj[a] & adj[b] if x > b):
+                tri = frozenset((a, b, c))
+                by_trace: dict[frozenset[int], list[int]] = {}
+                for x in sorted((adj[a] | adj[b] | adj[c]) - tri):
+                    by_trace.setdefault(adj[x] & tri, []).append(x)
+                for kind, traces in (
+                    ("net", ((a,), (b,), (c,))),
+                    ("sun3", ((a, b), (b, c), (c, a))),
+                ):
+                    xs, ys, zs = (by_trace.get(frozenset(t), []) for t in traces)
+                    for x in xs:
+                        for y in ys:
+                            if y in adj[x]:
+                                continue
+                            for z in zs:
+                                if z not in adj[x] and z not in adj[y]:
+                                    return ForbiddenWitness(
+                                        kind, None, tuple(sorted((a, b, c, x, y, z)))
+                                    )
+    return None
 
 
 def find_forbidden_induced(g: Graph) -> Optional[ForbiddenWitness]:
-    """Some witness that g is not an indifference graph, or None.
+    """A smallest induced claw, net, 3-sun or chordless k-cycle (k >= 4) of
+    g, or None when g has none, that is when each component of g is an
+    indifference graph (Roberts' theorem).
 
-    Vertex subsets are scanned by size ascending, lexicographically within
-    a size, so the returned witness is deterministic.
+    The claw has 4 vertices, and the net and the 3-sun have 6; so a claw
+    comes first, then the shortest hole if it has at most 6 vertices, then
+    a net or a 3-sun, then the longer hole.  Every step is polynomial.
     """
-    claw = named_graph("claw")
-    net = named_graph("net")
-    sun3 = named_graph("sun3")
-    for size in range(4, g.n + 1):
-        for vs in combinations(g.vertices(), size):
-            sub = induced_subgraph(g, vs)
-            if size == 4 and graphs_isomorphic(sub, claw):
-                return ForbiddenWitness("claw", None, vs)
-            if _is_induced_cycle(g, vs):
-                return ForbiddenWitness("cycle", size, vs)
-            if size == 6:
-                if graphs_isomorphic(sub, net):
-                    return ForbiddenWitness("net", None, vs)
-                if graphs_isomorphic(sub, sun3):
-                    return ForbiddenWitness("sun3", None, vs)
-    return None
+    claw = _claw(g)
+    if claw is not None:
+        return ForbiddenWitness("claw", None, tuple(sorted(claw)))
+    hole = _shortest_hole(g)
+    if hole is not None and len(hole) <= 6:
+        return ForbiddenWitness("cycle", len(hole), tuple(sorted(hole)))
+    witness = _net_or_sun(g)
+    if witness is None and hole is not None:
+        witness = ForbiddenWitness("cycle", len(hole), tuple(sorted(hole)))
+    return witness
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:

@@ -32,33 +32,6 @@ def clustering_rank(c: Clustering, n: int) -> int:
     return n - len(c)
 
 
-def all_clusterings(g: Graph) -> list[Clustering]:
-    """All partitions of the vertices into connected blocks (BFS by merges)."""
-    bottom = discrete_clustering(g.n)
-    seen = {bottom}
-    frontier = [bottom]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            blocks = sorted(c, key=min)
-            for b1, b2 in combinations(blocks, 2):
-                if any(
-                    g.has_edge(i, j) for i in b1 for j in b2
-                ):
-                    merged = frozenset(
-                        (c - {b1, b2}) | {b1 | b2}
-                    )
-                    if merged not in seen:
-                        seen.add(merged)
-                        nxt.append(merged)
-        frontier = nxt
-    return sorted(seen, key=lambda c: (len(c) * -1, sorted(sorted(b) for b in c)))
-
-
-def merge_covers(c: Clustering) -> list[tuple[frozenset[int], frozenset[int]]]:
-    return list(combinations(sorted(c, key=min), 2))
-
-
 def assignment_multiplicity(c: Clustering, n: int) -> int:
     """Number of assignments of labels 1..n to the blocks of c."""
     return math.factorial(n) // math.prod(math.factorial(len(b)) for b in c)
@@ -207,23 +180,44 @@ def _require_connected(g: Graph) -> None:
         raise GraphInputError("this construction requires a connected graph")
 
 
+def all_clusterings(g: Graph, max_rank: Optional[int] = None) -> GradedPoset:
+    """Partitions of the vertices into connected blocks, of rank at most
+    max_rank (all of them by default), ordered by refinement.
+
+    A breadth-first search merges two adjacent blocks per step, so its
+    level r holds the clusterings of rank r, and the merges it makes are
+    the covers.  Elements are listed by rank, then by their sorted blocks.
+    """
+    top = g.n - 1 if max_rank is None else min(max_rank, g.n - 1)
+    elems: list[Clustering] = []
+    merges: list[tuple[Clustering, Clustering]] = []
+    level = {discrete_clustering(g.n)}
+    for rank in range(top + 1):
+        elems += sorted(level, key=lambda c: sorted(sorted(b) for b in c))
+        if rank == top:
+            break
+        nxt: set[Clustering] = set()
+        for c in level:
+            reach = {b: frozenset().union(*map(g.neighbors, b)) for b in c}
+            for b1, b2 in combinations(sorted(c, key=min), 2):
+                if not reach[b1].isdisjoint(b2):
+                    merged = frozenset((c - {b1, b2}) | {b1 | b2})
+                    merges.append((c, merged))
+                    nxt.add(merged)
+        level = nxt
+    index = {c: i for i, c in enumerate(elems)}
+    return GradedPoset(
+        labels=elems,
+        rank=[clustering_rank(c, g.n) for c in elems],
+        covers=sorted((index[lo], index[hi]) for lo, hi in merges),
+    )
+
+
 def clusterings(g: Graph) -> GradedPoset:
     """Lattice of connected partitions, ordered by refinement,
     rank = n - (number of blocks)."""
     _require_connected(g)
-    elems = all_clusterings(g)
-    index = {c: i for i, c in enumerate(elems)}
-    covers = []
-    for c in elems:
-        for b1, b2 in merge_covers(c):
-            if any(g.has_edge(i, j) for i in b1 for j in b2):
-                merged = frozenset((c - {b1, b2}) | {b1 | b2})
-                covers.append((index[c], index[merged]))
-    return GradedPoset(
-        labels=list(elems),
-        rank=[clustering_rank(c, g.n) for c in elems],
-        covers=sorted(set(covers)),
-    )
+    return all_clusterings(g)
 
 
 def cluster_permutohedron(
@@ -235,18 +229,13 @@ def cluster_permutohedron(
     avoids building elements a later skeleton() call would drop.
     """
     _require_connected(g)
-    cls = all_clusterings(g)
-    if max_rank is not None:
-        cls = [c for c in cls if clustering_rank(c, g.n) <= max_rank]
-    cset = set(cls)
-    faces = []
-    for c in cls:  # all_clusterings sorts by descending block count = ascending rank
-        uppers = []
-        for b1, b2 in merge_covers(c):
-            merged = frozenset((c - {b1, b2}) | {b1 | b2})
-            if merged in cset:
-                uppers.append((merged, merged))
-        faces.append((c, c, clustering_rank(c, g.n), uppers))
+    lattice = all_clusterings(g, max_rank)
+    uppers: list[list] = [[] for _ in lattice.labels]
+    for lo, hi in lattice.covers:
+        uppers[lo].append((lattice.labels[hi], lattice.labels[hi]))
+    faces = [
+        (c, c, r, ups) for c, r, ups in zip(lattice.labels, lattice.rank, uppers)
+    ]
     return _assignment_poset(faces, g.n, element_cap, "cluster-permutohedron")
 
 
@@ -259,19 +248,23 @@ def skeleton_face_counts(g: Graph, max_rank: int) -> list[int]:
     number the sum of assignment_multiplicity(c_0) over clustering chains.
     """
     _require_connected(g)
-    cls = [c for c in all_clusterings(g) if clustering_rank(c, g.n) <= max_rank]
+    lattice = all_clusterings(g, max_rank)
+    below = lattice.strict_downsets()
     counts = [0] * (max_rank + 1)
-    # chains[i][d]: chains of d + 1 clusterings starting at cls[i]; a coarser
-    # clustering comes later in all_clusterings' order
-    chains: list[list[int]] = [[] for _ in cls]
-    for i in reversed(range(len(cls))):
-        chains[i] = [1] + [0] * max_rank
-        for j in range(i + 1, len(cls)):
-            if all(any(b <= top for top in cls[j]) for b in cls[i]):
-                for d in range(max_rank):
-                    chains[i][d + 1] += chains[j][d]
-        for d, k in enumerate(chains[i]):
-            counts[d] += assignment_multiplicity(cls[i], g.n) * k
+    # ending[j][d]: chains of d + 1 clusterings ending at element j, each
+    # weighted by the assignments of its bottom element
+    ending: list[list[int]] = []
+    for j, c in enumerate(lattice.labels):
+        weights = [assignment_multiplicity(c, g.n)] + [0] * max_rank
+        rest = below[j]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for d, k in enumerate(ending[low.bit_length() - 1][:max_rank]):
+                weights[d + 1] += k
+        ending.append(weights)
+        for d, k in enumerate(weights):
+            counts[d] += k
     return [k for k in counts if k]
 
 

@@ -7,12 +7,10 @@ import pytest
 from diagclass import abfp
 from diagclass.abfp import (
     ConsistencyResult,
-    NonIndifferenceFaceError,
     _skeleton_homology_evidence,
     abfp_consistency_test,
     assignment_multiplicity,
     compute_A,
-    face_betti_polynomial,
     formality_report,
     inter_polynomial,
 )
@@ -36,16 +34,8 @@ def path(n):
 
 
 def test_memos_are_bounded_lru():
-    memo = abfp._LruMemo()
-    for k in range(memo.SIZE):
-        memo[k] = k
-    assert memo.get(0) == 0  # 0 is now the most recently used
-    memo[memo.SIZE] = memo.SIZE
-    assert len(memo) == memo.SIZE
-    assert memo.get(1) is None and memo.get(0) == 0
-    assert memo.get(memo.SIZE) == memo.SIZE
-    assert isinstance(abfp._A_MEMO, abfp._LruMemo)
-    assert isinstance(abfp._EVIDENCE_MEMO, abfp._LruMemo)
+    assert abfp._staircase_A.cache_info().maxsize == 1024
+    assert abfp._witness_evidence.cache_info().maxsize == 1024
 
 
 def test_inter_triangle():
@@ -87,20 +77,6 @@ def test_A_degree_and_nonnegativity():
                 cert = recognize_indifference(g)
                 lhs = betti_polynomial_hessenberg(cert.h) - inter_polynomial(g)
                 assert lhs == a * T_MINUS_1 ** (n - 1)
-
-
-def test_face_betti_polynomial_multiplicative():
-    c = frozenset({frozenset({1, 2}), frozenset({3, 4})})
-    b = face_betti_polynomial(c, path(4))
-    assert b.coeffs == (1, 2, 1)  # (1+t)^2
-
-
-def test_face_betti_rejects_bad_block():
-    g = named_graph("claw")
-    c = frozenset({frozenset({1, 2, 3, 4})})
-    with pytest.raises(NonIndifferenceFaceError) as ei:
-        face_betti_polynomial(c, g)
-    assert ei.value.block == frozenset({1, 2, 3, 4})
 
 
 def test_assignment_multiplicity():

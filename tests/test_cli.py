@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,8 @@ K3 = "3 3\n1 2\n1 3\n2 3\n"
 CYCLE4 = "4 4\n1 2\n2 3\n3 4\n1 4\n"
 NET = "6 6\n1 2\n1 3\n2 3\n1 4\n2 5\n3 6\n"
 CYCLE9 = "9 9\n" + "".join(f"{i} {i % 9 + 1}\n" for i in range(1, 10))
+# C30 with vertex k relabelled to 1 + 7k mod 30 (7 is prime to 30)
+CYCLE30 = "30 30\n" + "".join(f"{1 + 7 * i % 30} {1 + 7 * (i + 1) % 30}\n" for i in range(30))
 BULL = "5 5\n1 2\n1 3\n2 3\n1 4\n2 5\n"
 # the staircase h = (3, 4, 5, 6, 6, 6) with vertex k relabelled (5, 2, 6, 1, 4, 3)[k-1]
 STAIRCASE = "6 9\n2 5\n5 6\n2 6\n2 1\n6 1\n6 4\n1 4\n1 3\n4 3\n"
@@ -125,11 +128,14 @@ def test_formality_budget_env(runner, monkeypatch):
 
 
 def test_formality_long_cycle_is_undetermined(runner):
-    res = runner.invoke(main, ["formality", "-"], input=CYCLE9)
-    assert res.exit_code == EXIT_BUDGET
-    out = json.loads(res.stdout)
-    assert out["verdict"] == "undetermined"
-    assert out["witness"]["kind"] == "Cycle(9)"
+    for text, kind in ((CYCLE9, "Cycle(9)"), (CYCLE30, "Cycle(30)")):
+        start = time.perf_counter()
+        res = runner.invoke(main, ["formality", "-"], input=text)
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == EXIT_BUDGET
+        out = json.loads(res.stdout)
+        assert out["verdict"] == "undetermined"
+        assert out["witness"]["kind"] == kind
 
 
 def test_invalid_budget_env_is_input_error(runner, monkeypatch):
@@ -224,6 +230,16 @@ def test_gkm_budget_exit(runner):
     res = runner.invoke(main, ["gkm", "-", "--mem-budget", "1000"], input=CYCLE4)
     assert res.exit_code == EXIT_BUDGET
     assert "budget exceeded" in res.output
+    # over Q the net's L_3 is refused by the rank kernel's charge, up front
+    start = time.perf_counter()
+    args = ["gkm", "-", "--field", "q", "--mem-budget", str(2 * 1024**3)]
+    res = runner.invoke(main, args, input=NET)
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == EXIT_BUDGET
+    assert res.stderr == (
+        "budget exceeded: L_3 needs a 75600x40320 matrix "
+        "(13017759616 bytes for its rank over Q), budget 2147483648\n"
+    )
 
 
 def test_adi_command(runner):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from diagclass import gkm
 from diagclass.gkm import (
     GkmGraph,
     build_gkm_graph,
@@ -11,7 +12,6 @@ from diagclass.gkm import (
     equivariant_betti_series,
     gkm_total_betti,
     kernel_matrix,
-    kernel_matrix_bytes,
     kernel_matrix_shape,
     known_betti_vector,
     monomials,
@@ -62,7 +62,6 @@ def test_kernel_matrix_shape_agrees():
     for d in (0, 1, 2):
         m = kernel_matrix(gg, d)
         assert (m.rows, m.cols) == kernel_matrix_shape(4, 3, d)
-    assert kernel_matrix_bytes(4, 3, 2) == 216 * ((240 + 63) // 64) * 8
 
 
 def test_kernel_matrix_entries_fill_distinct_cells():
@@ -163,6 +162,26 @@ def test_budget_precheck_names_the_matrix():
     with pytest.raises(ComputationBudgetError) as ei:
         gkm_total_betti(named_graph("sun3"), mem_budget=2 * 1024**3)
     assert "L_" in str(ei.value)
+
+
+def test_budget_precheck_charges_by_field(monkeypatch):
+    """Over Q the net's L_3 (75,600 x 40,320) is charged by the rank
+    kernel over Q, and refused before the moment graph is built."""
+    def unbuilt(g):
+        raise AssertionError("moment graph built for a refused kernel")
+
+    monkeypatch.setattr(gkm, "build_gkm_graph", unbuilt)
+    with pytest.raises(ComputationBudgetError) as ei:
+        gkm_total_betti(named_graph("net"), field="rational", mem_budget=2 * 1024**3)
+    assert str(ei.value) == (
+        "L_3 needs a 75600x40320 matrix (13017759616 bytes for its rank over Q), "
+        "budget 2147483648"
+    )
+    with pytest.raises(ComputationBudgetError) as ei:
+        gkm_total_betti(named_graph("sun3"), field="gf2", mem_budget=2 * 1024**3)
+    assert str(ei.value) == (
+        "L_4 needs a 226800x90720 matrix (2572819200 bytes packed), budget 2147483648"
+    )
 
 
 def test_sun3_rational_agrees_with_gf2():

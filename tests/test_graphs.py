@@ -1,5 +1,8 @@
 import math
+import random
+import time
 
+import networkx as nx
 import pytest
 
 from diagclass.graphs import (
@@ -9,13 +12,19 @@ from diagclass.graphs import (
     connected_graphs_up_to_iso,
     find_forbidden_induced,
     girth,
-    graphs_isomorphic,
     induced_subgraph,
     make_graph,
     named_graph,
     parse_graph,
     relabel,
 )
+
+
+def to_nx(g):
+    out = nx.Graph()
+    out.add_nodes_from(g.vertices())
+    out.add_edges_from(g.edges)
+    return out
 
 
 def test_make_graph_canonical_edges():
@@ -60,17 +69,10 @@ def test_girth():
     assert girth(named_graph("net")) == 3
 
 
-def test_isomorphism():
-    star3 = make_graph(4, [(3, 1), (3, 2), (3, 4)])
-    assert graphs_isomorphic(named_graph("claw"), star3)
-    assert not graphs_isomorphic(named_graph("cycle", 4), named_graph("path", 4))
-    assert not graphs_isomorphic(named_graph("net"), named_graph("sun3"))
-
-
 def test_induced_subgraph_relabels():
     g = named_graph("net")
-    sub = induced_subgraph(g, [1, 2, 3])
-    assert graphs_isomorphic(sub, named_graph("complete", 3))
+    assert induced_subgraph(g, [1, 2, 3]) == named_graph("complete", 3)
+    assert induced_subgraph(g, [2, 3, 5]) == make_graph(3, [(1, 2), (1, 3)])
 
 
 def test_forbidden_witnesses():
@@ -84,7 +86,28 @@ def test_forbidden_witnesses():
     assert w is not None and w.kind == "sun3"
     # witness validates: the induced subgraph matches the model
     g = named_graph("sun3")
-    assert graphs_isomorphic(induced_subgraph(g, w.vertices), w.model_graph())
+    assert nx.is_isomorphic(to_nx(induced_subgraph(g, w.vertices)), to_nx(w.model_graph()))
+
+
+def test_witness_search_is_polynomial():
+    """A relabelled C30, and a relabelled staircase on 40 vertices
+    (h(i) = i + 3) with a leaf on vertex 20, whose witness is a claw."""
+    rng = random.Random(30)
+    staircase = [(i, j) for i in range(1, 41) for j in range(i + 1, min(i + 3, 40) + 1)]
+    cases = [
+        (named_graph("cycle", 30), ("cycle", 30)),
+        (make_graph(41, staircase + [(20, 41)]), ("claw", None)),
+    ]
+    for g, shape in cases:
+        perm = list(g.vertices())
+        rng.shuffle(perm)
+        g = relabel(g, perm)
+        start = time.perf_counter()
+        w = find_forbidden_induced(g)
+        assert time.perf_counter() - start < 0.1
+        assert (w.kind, w.length) == shape
+        sub = to_nx(g).subgraph(w.vertices)
+        assert nx.is_isomorphic(sub, to_nx(w.model_graph()))
 
 
 def test_net_is_minimal_forbidden():

@@ -3,6 +3,7 @@ import random
 import time
 from itertools import combinations, permutations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,6 @@ from diagclass.graphs import (
     connected_graphs_up_to_iso,
     find_forbidden_induced,
     girth,
-    graphs_isomorphic,
     make_graph,
     named_graph,
     relabel,
@@ -75,12 +75,50 @@ def test_recognition_requires_connected():
         recognize_indifference(make_graph(4, [(1, 2)]))
 
 
+def to_nx(g):
+    out = nx.Graph()
+    out.add_nodes_from(g.vertices())
+    out.add_edges_from(g.edges)
+    return out
+
+
+# Roberts' forbidden induced subgraphs, built here, not by the package
+NX_NET = nx.Graph([(1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (3, 6)])
+NX_SUN3 = nx.Graph([(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (2, 5), (3, 5), (3, 6), (1, 6)])
+
+
+def smallest_forbidden_size(g: nx.Graph):
+    """Fewest vertices of an induced claw, net, 3-sun or k-cycle (k >= 4),
+    by trying every vertex subset; None when there is none."""
+    for size in range(4, len(g) + 1):
+        shapes = [nx.cycle_graph(size)]
+        shapes += {4: [nx.star_graph(3)], 6: [NX_NET, NX_SUN3]}.get(size, [])
+        for vs in combinations(g, size):
+            if any(nx.is_isomorphic(g.subgraph(vs), s) for s in shapes):
+                return size
+    return None
+
+
 def test_recognition_agrees_with_forbidden_search():
-    """Ordering-based recognition == absence of forbidden induced subgraphs,
-    exhaustively on all connected graphs with at most 7 vertices."""
+    """On every connected graph with at most 7 vertices and three
+    relabellings of each, a witness comes back exactly when the three
+    sweeps find no staircase ordering; it induces its named shape, and no
+    forbidden induced subgraph is smaller."""
+    rng = random.Random(7)
     for n in range(1, 8):
         for g in connected_graphs_up_to_iso(n):
-            assert is_indifference(g) == (find_forbidden_induced(g) is None)
+            smallest = smallest_forbidden_size(to_nx(g))
+            for k in range(4):
+                perm = list(g.vertices())
+                if k:
+                    rng.shuffle(perm)
+                h = relabel(g, perm)
+                w = find_forbidden_induced(h)
+                assert is_indifference(h) == (w is None) == (smallest is None)
+                if w is not None:
+                    assert len(w.vertices) == smallest
+                    sub = to_nx(h).subgraph(w.vertices)
+                    assert nx.is_isomorphic(sub, to_nx(w.model_graph()))
 
 
 def test_certificates_validate_everywhere():
@@ -90,10 +128,8 @@ def test_certificates_validate_everywhere():
             if isinstance(result, IndifferenceCertificate):
                 assert result.validates(g)
             else:
-                from diagclass.graphs import induced_subgraph
-
-                sub = induced_subgraph(g, result.vertices)
-                assert graphs_isomorphic(sub, result.model_graph())
+                sub = to_nx(g).subgraph(result.vertices)
+                assert nx.is_isomorphic(sub, to_nx(result.model_graph()))
 
 
 def first_staircase_ordering(g):

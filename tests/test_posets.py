@@ -91,7 +91,7 @@ def test_cluster_permutohedron_element_count_formula():
     for g in (PATH3, named_graph("claw"), named_graph("cycle", 4)):
         expected = sum(
             math.factorial(g.n) // math.prod(math.factorial(len(b)) for b in c)
-            for c in all_clusterings(g)
+            for c in all_clusterings(g).labels
         )
         assert len(cluster_permutohedron(g)) == expected
 
