@@ -19,6 +19,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
+from .gkm import (
+    equivariant_betti_series,
+    gkm_total_betti,
+    ordinary_betti_from_equivariant,
+)
 from .graphs import (
     ForbiddenWitness,
     Graph,
@@ -49,7 +54,6 @@ from .posets import (
     cluster_permutohedron,
     clustering_rank,
     order_complex,
-    skeleton,
     skeleton_face_counts,
 )
 
@@ -212,8 +216,7 @@ def _skeleton_homology_evidence(wg: Graph, mem_budget: int) -> Optional[dict]:
     # the shapes are refused before the poset is built
     check_homology_budget(skeleton_face_counts(wg, 2), "gf2", mem_budget)
     cp = cluster_permutohedron(wg, max_rank=2)
-    sk = skeleton(cp, 2)
-    betti = betti_numbers(order_complex(sk), coeff="gf2", mem_budget=mem_budget)
+    betti = betti_numbers(order_complex(cp), coeff="gf2", mem_budget=mem_budget)
     h1 = betti[1] if len(betti) > 1 else 0
     if h1 == 0:
         return None
@@ -227,8 +230,6 @@ def _skeleton_homology_evidence(wg: Graph, mem_budget: int) -> Optional[dict]:
 
 def _total_betti_evidence(wg: Graph, mem_budget: int) -> Optional[dict]:
     """Strategy (b): pipeline total Betti number differs from n!."""
-    from .gkm import gkm_total_betti
-
     report = gkm_total_betti(wg, field="gf2", mem_budget=mem_budget)
     fixed_points = math.factorial(wg.n)
     if report.total is not None and report.total != fixed_points:
@@ -254,16 +255,7 @@ def _total_betti_evidence(wg: Graph, mem_budget: int) -> Optional[dict]:
 
 def _abfp_evidence(wg: Graph, mem_budget: int) -> Optional[dict]:
     """Strategy (c): the consistency test contradicts a computed beta4."""
-    from .gkm import (
-        build_gkm_graph,
-        check_kernel_budget,
-        equivariant_betti,
-        ordinary_betti_from_equivariant,
-    )
-
-    check_kernel_budget(wg, 2, "gf2", mem_budget)
-    gg = build_gkm_graph(wg)
-    dims = [equivariant_betti(gg, i, field="gf2", mem_budget=mem_budget) for i in range(3)]
+    dims = equivariant_betti_series(wg, 2, field="gf2", mem_budget=mem_budget)
     low = ordinary_betti_from_equivariant(dims, wg.n)
     result = abfp_consistency_test(wg, low[1], low[2])
     if result.consistent:

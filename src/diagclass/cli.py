@@ -6,12 +6,11 @@ Exit codes: 0 = success (verdicts included), 2 = input error,
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
 import sys
-
-import click
 
 from . import __version__
 from .abfp import compute_A, formality_report
@@ -26,14 +25,17 @@ from .hessenberg import (
     recognize_indifference,
     staircase_key,
 )
-from .homology import homology_report
+from .homology import check_homology_budget, homology_report
 from .linalg import DEFAULT_MEM_BUDGET, ComputationBudgetError, RankCertificationError
-from .posets import cluster_permutohedron, graphicahedron, order_complex, skeleton
+from .posets import cluster_permutohedron, graphicahedron, order_complex, skeleton_face_counts
 
 BUDGET_ENV = "DIAGCLASS_MEM_BUDGET"
 
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+
+# coefficient names on the command line -> the package's
+_COEFFS = {"z": "integer", "q": "rational", "f2": "gf2"}
 
 
 def _read_graph(source: str) -> tuple[Graph, str]:
@@ -69,88 +71,63 @@ def _budget(mem_budget: int | None) -> int:
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        click.echo(json.dumps(report, indent=2))
+        print(json.dumps(report, indent=2))
     else:
         for key, value in report.items():
-            click.echo(f"{key}: {value}")
+            print(f"{key}: {value}")
 
 
 def _config_stamp(text: str, **config) -> dict:
     return {"version": __version__, "input_sha256": _content_hash(text), **config}
 
 
-_field_option = click.option(
-    "--field",
-    type=click.Choice(["q", "f2"]),
-    default="f2",
-    show_default=True,
-    help="Coefficient field for rank computations.",
-)
-_format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "text"]),
-    default="json",
-    show_default=True,
-)
-_budget_option = click.option(
-    "--mem-budget",
-    type=int,
-    default=None,
-    help=f"Memory budget in bytes (default from ${BUDGET_ENV} or 2 GiB).",
-)
-
-_FIELD_NAMES = {"q": "rational", "f2": "gf2"}
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"rank bound must be nonnegative, got {value}")
+    return value
 
 
-class _Main(click.Group):
-    """Maps the package's errors to exit codes, for every command."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except GraphInputError as exc:
-            click.echo(f"input error: {exc}", err=True)
-            sys.exit(EXIT_INPUT)
-        except (ComputationBudgetError, RankCertificationError) as exc:
-            click.echo(f"budget exceeded: {exc}", err=True)
-            sys.exit(EXIT_BUDGET)
+def _poset(g: Graph, kind: str, skeleton_rank: int | None):
+    build = cluster_permutohedron if kind == "cluster" else graphicahedron
+    return build(g, max_rank=skeleton_rank)
 
 
-@click.group(cls=_Main)
-@click.version_option(__version__)
-def main() -> None:
-    """Decide whether a sparsity pattern admits a diagonalizable matrix class."""
+# (flags, add_argument keywords) shared by several commands
+_SOURCE = (("source",), {})
+_FORMAT = (("--format",), dict(dest="fmt", choices=["json", "text"], default="json"))
+_BUDGET = (("--mem-budget",), dict(
+    type=int, help=f"Memory budget in bytes (default from ${BUDGET_ENV} or 2 GiB)."))
+_SKELETON = (("--skeleton",), dict(
+    dest="skeleton_rank", metavar="R", type=_nonnegative, help="Restrict to faces of rank <= R."))
+
+# command name -> (function, its arguments); filled by @_command
+_COMMANDS: dict = {}
 
 
-@main.command()
-@click.argument("source")
-@_format_option
+def _command(name: str, *arguments):
+    def register(fn):
+        _COMMANDS[name] = (fn, arguments)
+        return fn
+    return register
+
+
+@_command("recognize", _SOURCE, _FORMAT)
 def recognize(source: str, fmt: str) -> None:
     """Indifference-graph recognition with a certificate or witness."""
     g, text = _read_graph(source)
     result = recognize_indifference(g)
     report = {"config": _config_stamp(text), "n": g.n}
     if isinstance(result, IndifferenceCertificate):
-        report.update(
-            indifference=True,
-            ordering=list(result.ordering),
-            h=list(result.h.h),
-        )
+        report.update(indifference=True, ordering=list(result.ordering), h=list(result.h.h))
     else:
-        report.update(
-            indifference=False,
-            witness=result.describe(),
-            witness_vertices=sorted(result.vertices),
-        )
+        report.update(indifference=False, witness=result.describe(),
+                      witness_vertices=sorted(result.vertices))
     _emit(report, fmt)
 
 
-@main.command()
-@click.argument("source")
-@_budget_option
-@_format_option
-def formality(source: str, mem_budget: int | None, fmt: str) -> None:
+@_command("formality", _SOURCE, _BUDGET, _FORMAT)
+def formality(source: str, mem_budget: int | None, fmt: str) -> int:
     """Diagonalizability / equivariant-formality verdict."""
     budget = _budget(mem_budget)
     g, text = _read_graph(source)
@@ -158,12 +135,10 @@ def formality(source: str, mem_budget: int | None, fmt: str) -> None:
     report = json.loads(verdict.to_json())
     report["config"] = _config_stamp(text, mem_budget=budget)
     _emit(report, fmt)
-    if verdict.verdict == "undetermined":
-        sys.exit(EXIT_BUDGET)
+    return EXIT_BUDGET if verdict.verdict == "undetermined" else 0
 
 
-@main.command("batch-hessenberg")
-@click.option("--max-n", type=int, default=5, show_default=True)
+@_command("batch-hessenberg", (("--max-n",), dict(type=int, default=5)))
 def batch_hessenberg(max_n: int) -> None:
     """CSV of (graph, h, B, A) for all connected indifference graphs.
 
@@ -174,7 +149,7 @@ def batch_hessenberg(max_n: int) -> None:
     """
     if max_n > 7:
         raise GraphInputError("--max-n capped at 7")
-    click.echo("n,edges,h,B,A")
+    print("n,edges,h,B,A")
     for n in range(1, max_n + 1):
         for h in connected_hessenberg_functions(n):
             if staircase_key(h) != h.h:
@@ -183,39 +158,27 @@ def batch_hessenberg(max_n: int) -> None:
             b = betti_polynomial_hessenberg(h)
             a = compute_A(g)
             edges = ";".join(f"{i}-{j}" for i, j in g.sorted_edges())
-            click.echo(f'{n},"{edges}","{h}","{b}","{a}"')
+            print(f'{n},"{edges}","{h}","{b}","{a}"')
 
 
-@main.command()
-@click.argument("source")
-@click.option("--poset", type=click.Choice(["cluster", "graphic"]), default="cluster",
-              show_default=True)
-@click.option("--skeleton", "skeleton_rank", type=int, default=None,
-              help="Restrict to faces of rank <= R before taking homology.")
-@click.option("--coeff", type=click.Choice(["z", "q", "f2"]), default="q",
-              show_default=True)
-@_budget_option
-@_format_option
-def clusterperm(
-    source: str,
-    poset: str,
-    skeleton_rank: int | None,
-    coeff: str,
-    mem_budget: int | None,
-    fmt: str,
-) -> None:
+@_command(
+    "clusterperm", _SOURCE,
+    (("--poset",), dict(choices=["cluster", "graphic"], default="cluster")),
+    _SKELETON,
+    (("--coeff",), dict(choices=list(_COEFFS), default="q")),
+    _BUDGET, _FORMAT,
+)
+def clusterperm(source: str, poset: str, skeleton_rank: int | None, coeff: str,
+                mem_budget: int | None, fmt: str) -> None:
     """Cluster-permutohedron / graphicahedron homology of a skeleton."""
     budget = _budget(mem_budget)
     g, text = _read_graph(source)
-    build = cluster_permutohedron if poset == "cluster" else graphicahedron
-    p = build(g, max_rank=skeleton_rank)
-    if skeleton_rank is not None:
-        p = skeleton(p, skeleton_rank)
-    sc = order_complex(p)
-    if coeff == "z":
-        report = homology_report(sc, integral=True)
-    else:
-        report = homology_report(sc, coeff=_FIELD_NAMES[coeff], mem_budget=budget)
+    if poset == "cluster":
+        # refused from its face counts before the poset is built
+        rank = g.n - 1 if skeleton_rank is None else skeleton_rank
+        check_homology_budget(skeleton_face_counts(g, rank), _COEFFS[coeff], budget)
+    p = _poset(g, poset, skeleton_rank)
+    report = homology_report(order_complex(p), coeff=_COEFFS[coeff], mem_budget=budget)
     report["poset"] = poset
     report["elements"] = len(p)
     report["skeleton"] = skeleton_rank
@@ -223,56 +186,81 @@ def clusterperm(
     _emit(report, fmt)
 
 
-@main.command()
-@click.argument("source")
-@_field_option
-@_budget_option
-@_format_option
-def gkm(source: str, field: str, mem_budget: int | None, fmt: str) -> None:
+@_command(
+    "gkm", _SOURCE,
+    (("--field",), dict(choices=["q", "f2"], default="f2",
+                        help="Coefficient field for rank computations.")),
+    _BUDGET, _FORMAT,
+)
+def gkm(source: str, field: str, mem_budget: int | None, fmt: str) -> int:
     """Moment-graph Betti report (equivariant dims, expansion, total)."""
     budget = _budget(mem_budget)
     g, text = _read_graph(source)
-    rep = gkm_total_betti(g, field=_FIELD_NAMES[field], mem_budget=budget)
+    rep = gkm_total_betti(g, field=_COEFFS[field], mem_budget=budget)
     report = json.loads(rep.to_json())
     report["config"] = _config_stamp(text, field=field, mem_budget=budget)
     _emit(report, fmt)
-    if rep.undetermined:
-        sys.exit(EXIT_BUDGET)
+    return EXIT_BUDGET if rep.undetermined else 0
 
 
-@main.command("adi")
-@click.argument("source")
-@_format_option
+@_command("adi", _SOURCE, _FORMAT)
 def adi_cmd(source: str, fmt: str) -> None:
     """Minimum number of edge additions to reach an indifference graph."""
     g, text = _read_graph(source)
     value, added = adi(g)
-    _emit(
-        {
-            "config": _config_stamp(text),
-            "adi": value,
-            "added_edges": [list(e) for e in added],
-        },
-        fmt,
-    )
+    report = {"config": _config_stamp(text), "adi": value,
+              "added_edges": [list(e) for e in added]}
+    _emit(report, fmt)
 
 
-@main.command("export-dot")
-@click.argument("source")
-@click.option("--kind", type=click.Choice(["cluster", "graphic", "gkm"]),
-              default="cluster", show_default=True)
-@click.option("--skeleton", "skeleton_rank", type=int, default=None)
+@_command(
+    "export-dot", _SOURCE,
+    (("--kind",), dict(choices=["cluster", "graphic", "gkm"], default="cluster")),
+    _SKELETON,
+)
 def export_dot(source: str, kind: str, skeleton_rank: int | None) -> None:
     """Graphviz export of a Hasse diagram or the moment graph."""
     g, _ = _read_graph(source)
     if kind == "gkm":
-        click.echo(build_gkm_graph(g).to_dot())
-        return
-    build = cluster_permutohedron if kind == "cluster" else graphicahedron
-    p = build(g, max_rank=skeleton_rank)
-    if skeleton_rank is not None:
-        p = skeleton(p, skeleton_rank)
-    click.echo(p.to_dot())
+        print(build_gkm_graph(g).to_dot())
+    else:
+        print(_poset(g, kind, skeleton_rank).to_dot())
+
+
+def main(args: list[str] | None = None, prog_name: str = "diagclass") -> None:
+    """Run one command and exit with its code; the package's errors become
+    one stderr line and exit 2 (input) or 3 (budget)."""
+    # the flags are spelled out in full, and help is --help alone
+    plain = dict(allow_abbrev=False, add_help=False)
+    parser = argparse.ArgumentParser(prog=prog_name, description=(
+        "Decide whether a sparsity pattern admits a diagonalizable matrix class."), **plain)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    parser.add_argument("--help", action="help")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, arguments) in _COMMANDS.items():
+        doc = fn.__doc__ or ""
+        sub = commands.add_parser(name, help=doc.split("\n")[0], description=doc, **plain)
+        sub.add_argument("--help", action="help")
+        for flags, options in arguments:
+            sub.add_argument(*flags, **options)
+        sub.set_defaults(run=fn)
+    params = vars(parser.parse_args(args))
+    del params["command"]
+    run = params.pop("run")
+    try:
+        code = run(**params)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (as `| head` does): drop the rest of the output
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    except GraphInputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        code = EXIT_INPUT
+    except (ComputationBudgetError, RankCertificationError) as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        code = EXIT_BUDGET
+    sys.exit(code or 0)
 
 
 if __name__ == "__main__":

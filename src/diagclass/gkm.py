@@ -178,7 +178,9 @@ def equivariant_betti_series(
     field: str = "gf2",
     mem_budget: int = DEFAULT_MEM_BUDGET,
 ) -> list[int]:
-    """[dim ker L_0, ..., dim ker L_max_degree] for a pattern graph."""
+    """[dim ker L_0, ..., dim ker L_max_degree] for a pattern graph; the
+    budget is checked before the moment graph is built."""
+    check_kernel_budget(g, max_degree, field, mem_budget)
     gg = build_gkm_graph(g)
     return [
         equivariant_betti(gg, i, field=field, mem_budget=mem_budget)
@@ -301,12 +303,7 @@ def gkm_total_betti(
     """
     top = g.num_edges
     half = (top + 1) // 2
-    check_kernel_budget(g, half, field, mem_budget)
-    gg = build_gkm_graph(g)
-    dims = [
-        equivariant_betti(gg, i, field=field, mem_budget=mem_budget)
-        for i in range(half + 1)
-    ]
+    dims = equivariant_betti_series(g, half, field=field, mem_budget=mem_budget)
     low = ordinary_betti_from_equivariant(dims, g.n)
     negative = any(c < 0 for c in low)
     mirror = any(

@@ -46,9 +46,13 @@ def chain_complex(sc: SimplicialComplex) -> list[SparseMatrix]:
     return [boundary_matrix(sc, d) for d in range(sc.dim + 1)]
 
 
-def check_homology_budget(face_counts: list[int], coeff: str, mem_budget: int) -> None:
+def check_homology_budget(
+    face_counts: list[int], coeff: str, mem_budget: int = DEFAULT_MEM_BUDGET
+) -> None:
     """Refuse, from the face counts alone, a complex one of whose boundary
-    maps `betti_numbers` would refuse to eliminate, with its message."""
+    maps `betti_numbers` (coeff "gf2" or "rational") would refuse to
+    eliminate, or `integral_homology` (coeff "integer") to put in Smith
+    normal form, with its message."""
     for d, cols in enumerate(face_counts):
         check_rank_budget(face_counts[d - 1] if d else 1, cols, coeff, mem_budget)
 
@@ -108,6 +112,8 @@ def integral_homology(sc: SimplicialComplex, reduced: bool = True) -> IntegralHo
     """Homology with integer coefficients from Smith normal forms."""
     if not sc.faces or not sc.faces[0]:
         return IntegralHomology((), (), reduced)
+    # every boundary map is checked before the first Smith normal form
+    check_homology_budget(sc.face_counts(), "integer")
     divisors = []
     for d in range(sc.dim + 1):
         m = boundary_matrix(sc, d)
@@ -129,21 +135,21 @@ def homology_report(
     sc: SimplicialComplex,
     coeff: str = "rational",
     reduced: bool = True,
-    integral: bool = False,
     mem_budget: int = DEFAULT_MEM_BUDGET,
 ) -> dict:
-    """JSON-ready summary of face counts, Betti numbers, Euler characteristic.
+    """JSON-ready summary of face counts, Betti numbers, Euler characteristic,
+    over "gf2", "rational" or "integer" (with torsion).
 
     The budget bounds the rank computations; integral homology is bounded
     by the Smith normal form's size cap instead.
     """
     report = {
-        "coeff": "integer" if integral else coeff,
+        "coeff": coeff,
         "reduced": reduced,
         "face_counts": sc.face_counts(),
         "euler_characteristic": sc.euler_characteristic(),
     }
-    if integral:
+    if coeff == "integer":
         ih = integral_homology(sc, reduced=reduced)
         report["betti"] = list(ih.free_rank)
         report["torsion"] = [list(t) for t in ih.torsion]

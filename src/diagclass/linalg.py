@@ -106,9 +106,17 @@ def rational_rank_bytes(rows: int, cols: int) -> int:
     return 8 * short * (short + 32) + 24 * tall + 4096
 
 
-def check_rank_budget(rows: int, cols: int, field: str, mem_budget: int) -> None:
-    """Refuse, from the shape alone, a rank that `rank_gf2` (field "gf2")
-    or `rank_rational` (field "rational") would refuse, with its message."""
+# the largest side of a matrix the Smith normal form is attempted on
+SNF_SIZE_CAP = 200_000
+
+
+def check_rank_budget(
+    rows: int, cols: int, field: str, mem_budget: int = DEFAULT_MEM_BUDGET
+) -> None:
+    """Refuse, from the shape alone, what `rank_gf2` (field "gf2"),
+    `rank_rational` (field "rational") or `smith_normal_form` (field
+    "integer", bounded by SNF_SIZE_CAP instead of the budget) would refuse,
+    with its message."""
     if field == "gf2":
         need = gf2_packed_bytes(rows, cols)
         if need > mem_budget:
@@ -121,6 +129,11 @@ def check_rank_budget(rows: int, cols: int, field: str, mem_budget: int) -> None
             raise ComputationBudgetError(
                 f"rank over Q of a {rows}x{cols} matrix needs {need} bytes, "
                 f"budget {mem_budget}"
+            )
+    elif field == "integer":
+        if max(rows, cols) > SNF_SIZE_CAP:
+            raise ComputationBudgetError(
+                f"matrix {rows}x{cols} exceeds Smith normal form cap {SNF_SIZE_CAP}"
             )
     else:
         raise ValueError(f"unknown field {field!r}")
@@ -259,19 +272,14 @@ def rank_rational(m: SparseMatrix, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
 
 # -- Smith normal form ------------------------------------------------
 
-def smith_normal_form(
-    m: SparseMatrix, size_cap: int = 200_000
-) -> tuple[int, ...]:
+def smith_normal_form(m: SparseMatrix) -> tuple[int, ...]:
     """Elementary divisors d1 | d2 | ... of an integer matrix.
 
     Classical elimination with smallest-pivot selection; intended for the
     small integral-homology targets.  A finished pivot's row and column
     leave the matrix, so each pivot search sees only what is left.
     """
-    if max(m.rows, m.cols) > size_cap:
-        raise ComputationBudgetError(
-            f"matrix {m.rows}x{m.cols} exceeds Smith normal form cap {size_cap}"
-        )
+    check_rank_budget(m.rows, m.cols, "integer")
     rows: dict[int, dict[int, int]] = {}  # rows[r][c]: the nonzero entries
     cols: dict[int, set[int]] = {}  # cols[c]: rows with an entry in column c
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Optional
 
@@ -91,8 +92,6 @@ class GradedPoset:
     labels: list
     rank: list[int]
     covers: list[tuple[int, int]]  # (lower, upper) index pairs
-    _children: Optional[list[list[int]]] = field(default=None, repr=False)
-    _below: Optional[list[int]] = field(default=None, repr=False)  # bitsets
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -105,23 +104,25 @@ class GradedPoset:
         return [i for i, rk in enumerate(self.rank) if rk == r]
 
     def children(self) -> list[list[int]]:
-        if self._children is None:
-            ch: list[list[int]] = [[] for _ in self.labels]
-            for lo, hi in self.covers:
-                ch[hi].append(lo)
-            self._children = ch
-        return self._children
+        ch: list[list[int]] = [[] for _ in self.labels]
+        for lo, hi in self.covers:
+            ch[hi].append(lo)
+        return ch
+
+    @cached_property
+    def _below(self) -> list[int]:
+        """Built on first use and kept; not a field, so equality stays on
+        (labels, rank, covers)."""
+        below = [0] * len(self.labels)
+        for i, children in enumerate(self.children()):
+            acc = 0
+            for c in children:
+                acc |= below[c] | (1 << c)
+            below[i] = acc
+        return below
 
     def strict_downsets(self) -> list[int]:
         """Bitset (python int) of all elements strictly below each element."""
-        if self._below is None:
-            below = [0] * len(self.labels)
-            for i in range(len(self.labels)):
-                acc = 0
-                for c in self.children()[i]:
-                    acc |= below[c] | (1 << c)
-                below[i] = acc
-            self._below = below
         return self._below
 
     def leq(self, i: int, j: int) -> bool:

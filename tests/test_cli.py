@@ -1,13 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import diagclass
 from diagclass import cli
@@ -27,6 +30,8 @@ PATH3 = "3 2\n1 2\n2 3\n"
 K3 = "3 3\n1 2\n1 3\n2 3\n"
 CYCLE4 = "4 4\n1 2\n2 3\n3 4\n1 4\n"
 NET = "6 6\n1 2\n1 3\n2 3\n1 4\n2 5\n3 6\n"
+CYCLE6 = "6 6\n" + "".join(f"{i} {i % 6 + 1}\n" for i in range(1, 7))
+CYCLE7 = "7 7\n" + "".join(f"{i} {i % 7 + 1}\n" for i in range(1, 8))
 CYCLE9 = "9 9\n" + "".join(f"{i} {i % 9 + 1}\n" for i in range(1, 10))
 # C30 with vertex k relabelled to 1 + 7k mod 30 (7 is prime to 30)
 CYCLE30 = "30 30\n" + "".join(f"{1 + 7 * i % 30} {1 + 7 * (i + 1) % 30}\n" for i in range(30))
@@ -34,8 +39,8 @@ BULL = "5 5\n1 2\n1 3\n2 3\n1 4\n2 5\n"
 # the staircase h = (3, 4, 5, 6, 6, 6) with vertex k relabelled (5, 2, 6, 1, 4, 3)[k-1]
 STAIRCASE = "6 9\n2 5\n5 6\n2 6\n2 1\n6 1\n6 4\n1 4\n1 3\n4 3\n"
 
-# Runs the CLI in a fresh interpreter, then reports which of numpy and
-# scipy it loaded on the last line of stderr.
+# Runs the CLI in a fresh interpreter, then reports which of numpy, scipy
+# and click it loaded on the last line of stderr.
 _IMPORT_PROBE = """
 import json, sys
 from diagclass.cli import main
@@ -43,15 +48,61 @@ try:
     main(sys.argv[1:], prog_name="diagclass")
 except SystemExit as exc:
     code = exc.code
-heavy = sorted({name.split(".")[0] for name in sys.modules} & {"numpy", "scipy"})
+heavy = sorted({name.split(".")[0] for name in sys.modules} & {"numpy", "scipy", "click"})
 print(json.dumps(heavy), file=sys.stderr)
 sys.exit(code)
 """
 
 
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr, interleaved as written
+
+
+class _Tee(io.StringIO):
+    """A captured stream that also copies what it is given to `mixed`."""
+
+    def __init__(self, mixed: io.StringIO):
+        super().__init__()
+        self.mixed = mixed
+
+    def write(self, text: str) -> int:
+        self.mixed.write(text)
+        return super().write(text)
+
+
+class Runner:
+    """Calls a CLI entry point in-process: `input` is its stdin, its stdout
+    and stderr are captured, and its exit code is read off SystemExit."""
+
+    def invoke(self, main, args, input: str = "") -> Result:
+        mixed = io.StringIO()
+        out, err = _Tee(mixed), _Tee(mixed)
+        stdin, sys.stdin = sys.stdin, io.StringIO(input)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                main(args)
+            code = 0
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+        finally:
+            sys.stdin = stdin
+        return Result(code, out.getvalue(), err.getvalue(), mixed.getvalue())
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
+
+
+def _child_env():
+    """The environment of a CLI child: this package, the default budget."""
+    env = {**os.environ, "PYTHONPATH": str(Path(diagclass.__file__).resolve().parents[1])}
+    env.pop(BUDGET_ENV, None)
+    return env
 
 
 def write(tmp_path, name, text):
@@ -212,6 +263,32 @@ def test_clusterperm_budget_exit(runner):
     assert res.stderr.startswith("budget exceeded: ")
 
 
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, 2 * 1024**3))
+
+
+@pytest.mark.parametrize(
+    "coeff, stdin, message",
+    [
+        ("f2", CYCLE7, "packed GF(2) matrix needs 19673617824 bytes, budget 2147483648"),
+        ("z", CYCLE6, "matrix 127446x581040 exceeds Smith normal form cap 200000"),
+    ],
+    ids=["f2-cycle7", "z-cycle6"],
+)
+def test_clusterperm_refuses_from_face_counts(coeff, stdin, message):
+    # built, the C7 order complex exhausts the address space and the C6 one
+    # takes seconds; refused from its face counts, neither is built
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "diagclass.cli", "clusterperm", "-", "--coeff", coeff],
+        input=stdin, capture_output=True, text=True, env=_child_env(), timeout=20,
+        preexec_fn=_limit_address_space,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == EXIT_BUDGET
+    assert proc.stderr == f"budget exceeded: {message}\n"
+
+
 def test_clusterperm_graphic_poset(runner):
     res = runner.invoke(main, ["clusterperm", "-", "--poset", "graphic"], input=K3)
     assert res.exit_code == 0
@@ -264,11 +341,22 @@ def test_version(runner):
     assert res.exit_code == 0
 
 
+def test_closed_stdout_exits_quietly():
+    # the reader is gone before the first line is written, as with `| head`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "diagclass.cli", "batch-hessenberg"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def _heavy_modules_loaded(args, stdin):
-    env = {**os.environ, "PYTHONPATH": str(Path(diagclass.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, *args],
-        input=stdin, capture_output=True, text=True, env=env, timeout=120,
+        input=stdin, capture_output=True, text=True, env=_child_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stderr.splitlines()[-1])

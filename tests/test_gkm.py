@@ -177,6 +177,10 @@ def test_budget_precheck_charges_by_field(monkeypatch):
         "L_3 needs a 75600x40320 matrix (13017759616 bytes for its rank over Q), "
         "budget 2147483648"
     )
+    with pytest.raises(ComputationBudgetError) as series:
+        equivariant_betti_series(named_graph("net"), 3, field="rational",
+                                 mem_budget=2 * 1024**3)
+    assert str(series.value) == str(ei.value)
     with pytest.raises(ComputationBudgetError) as ei:
         gkm_total_betti(named_graph("sun3"), field="gf2", mem_budget=2 * 1024**3)
     assert str(ei.value) == (

@@ -4,6 +4,7 @@ import json
 import pytest
 
 import diagclass.homology as homology
+import diagclass.linalg as linalg
 from diagclass.graphs import make_graph, named_graph
 from diagclass.homology import (
     betti_numbers,
@@ -143,13 +144,27 @@ def test_homology_report():
     assert payload["betti"] == [0, 1]
     assert payload["coeff"] == "rational"
     assert payload["face_counts"] == [3, 3]
-    integral = homology_report(RP2, integral=True)
+    integral = homology_report(RP2, coeff="integer")
+    assert integral["coeff"] == "integer"
     assert integral["homology"] == ["0", "Z/2", "0"]
 
 
 def test_unknown_coefficients_rejected():
     with pytest.raises(ValueError):
         betti_numbers(CIRCLE, coeff="gf3")
+
+
+def test_integral_homology_refuses_before_any_smith_form(monkeypatch):
+    # the 5-simplex has face counts 6 / 15 / 20 / 15 / 6 / 1: with the cap at
+    # 15 only d_2 (15 x 20) and d_3 are over it, and d_2 is refused before
+    # d_0 and d_1 are put in Smith normal form
+    monkeypatch.setattr(linalg, "SNF_SIZE_CAP", 15)
+    eliminated = []
+    monkeypatch.setattr(homology, "smith_normal_form", lambda m: eliminated.append(m))
+    with pytest.raises(ComputationBudgetError) as refused:
+        integral_homology(complex_from_top_faces([range(6)]))
+    assert str(refused.value) == "matrix 15x20 exceeds Smith normal form cap 15"
+    assert eliminated == []
 
 
 def test_budget_refuses_before_any_elimination(monkeypatch):

@@ -144,6 +144,13 @@ def test_skeleton():
     assert len(claw_sk) == 72
 
 
+def test_equality_ignores_cached_structure():
+    p, q = cluster_permutohedron(PATH3), cluster_permutohedron(PATH3)
+    assert p.strict_downsets() and p.children()
+    assert p == q
+    assert repr(p) == repr(q)
+
+
 def test_skeleton_covers_are_the_transitive_reduction():
     # the reference: the order restricted to the kept elements, reduced
     for n in range(1, 5):
