@@ -214,7 +214,7 @@ def _skeleton_homology_evidence(wg: Graph, mem_budget: int) -> Optional[dict]:
     cheapest exact computation) is already an obstruction.
     """
     # the shapes are refused before the poset is built
-    check_homology_budget(skeleton_face_counts(wg, 2), "gf2", mem_budget)
+    check_homology_budget(skeleton_face_counts(wg, "cluster", 2), "gf2", mem_budget)
     cp = cluster_permutohedron(wg, max_rank=2)
     betti = betti_numbers(order_complex(cp), coeff="gf2", mem_budget=mem_budget)
     h1 = betti[1] if len(betti) > 1 else 0

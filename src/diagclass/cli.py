@@ -173,10 +173,8 @@ def clusterperm(source: str, poset: str, skeleton_rank: int | None, coeff: str,
     """Cluster-permutohedron / graphicahedron homology of a skeleton."""
     budget = _budget(mem_budget)
     g, text = _read_graph(source)
-    if poset == "cluster":
-        # refused from its face counts before the poset is built
-        rank = g.n - 1 if skeleton_rank is None else skeleton_rank
-        check_homology_budget(skeleton_face_counts(g, rank), _COEFFS[coeff], budget)
+    # refused from its face counts before the poset is built
+    check_homology_budget(skeleton_face_counts(g, poset, skeleton_rank), _COEFFS[coeff], budget)
     p = _poset(g, poset, skeleton_rank)
     report = homology_report(order_complex(p), coeff=_COEFFS[coeff], mem_budget=budget)
     report["poset"] = poset

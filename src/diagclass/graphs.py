@@ -324,20 +324,52 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     return make_graph(g.n, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
 
 
+def _min_relabellings(masks: list[int], k: int) -> list[int]:
+    """Each edge mask's minimum over the relabellings of vertices 1..k,
+    bit b of a mask being the b-th vertex pair in lexicographic order.
+
+    The masks are bit-sliced: column b holds bit b of every mask, one bit
+    per mask.  A relabelling permutes the columns, and one lexicographic
+    compare from the top pair down marks the masks its relabelling makes
+    smaller.
+    """
+    pairs = list(combinations(range(k), 2))
+    where = {}
+    for b, (i, j) in enumerate(pairs):
+        where[i, j] = where[j, i] = b
+    columns = [0] * len(pairs)
+    for m, mask in enumerate(masks):
+        for b in range(len(pairs)):
+            columns[b] |= (mask >> b & 1) << m
+    best = list(columns)
+    everyone = (1 << len(masks)) - 1
+    for perm in permutations(range(k)):
+        undecided, smaller = everyone, 0
+        for b in reversed(range(len(pairs))):
+            i, j = pairs[b]
+            diff = (columns[where[perm[i], perm[j]]] ^ best[b]) & undecided
+            smaller |= diff & best[b]
+            undecided ^= diff
+            if not undecided:
+                break
+        if smaller:
+            for b, (i, j) in enumerate(pairs):
+                best[b] ^= (best[b] ^ columns[where[perm[i], perm[j]]]) & smaller
+    return [
+        sum((column >> m & 1) << b for b, column in enumerate(best))
+        for m in range(len(masks))
+    ]
+
+
 def canonical_form(g: Graph) -> tuple[int, frozenset[tuple[int, int]]]:
-    """Canonical key under isomorphism by brute-force minimisation (n <= 8)."""
+    """Canonical key under isomorphism: the edge set whose mask is least
+    over all relabellings (n <= 8)."""
     if g.n > 8:
         raise GraphInputError("canonical_form is limited to n <= 8")
-    best = None
-    for perm in permutations(range(1, g.n + 1)):
-        edges = frozenset(
-            (min(perm[i - 1], perm[j - 1]), max(perm[i - 1], perm[j - 1]))
-            for i, j in g.edges
-        )
-        key = tuple(sorted(edges))
-        if best is None or key < best:
-            best = key
-    return (g.n, frozenset(best or ()))
+    pairs = list(combinations(range(1, g.n + 1), 2))
+    mask = sum(1 << pairs.index(e) for e in g.edges)
+    (least,) = _min_relabellings([mask], g.n)
+    return (g.n, frozenset(p for b, p in enumerate(pairs) if least >> b & 1))
 
 
 def connected_graphs_up_to_iso(n: int) -> list[Graph]:
@@ -348,12 +380,10 @@ def connected_graphs_up_to_iso(n: int) -> list[Graph]:
     over all vertex permutations.  The classes on k vertices come from
     those on k - 1 by adding vertex k with every nonempty neighbourhood:
     deleting a leaf of a spanning tree leaves a connected graph, so every
-    class arises.  The minimum is computed vectorised over all candidates.
+    class arises.  The minimum is taken over all candidates at once.
     """
     if n > 7:
         raise GraphInputError("exhaustive enumeration is limited to n <= 7")
-    import numpy as np
-
     reps = [0]  # the one class on a single vertex
     pairs: list[tuple[int, int]] = []
     for k in range(2, n + 1):
@@ -369,16 +399,7 @@ def connected_graphs_up_to_iso(n: int) -> list[Graph]:
             sum(bit for v, bit in enumerate(new_edges) if s >> v & 1)
             for s in range(1, 1 << (k - 1))
         ]
-        masks = np.array([b | e for b in bases for e in nbhds], dtype=np.int64)
-        canon = masks.copy()
-        for perm in permutations(range(1, k + 1)):
-            remapped = np.zeros_like(masks)
-            for b, (i, j) in enumerate(pairs):
-                a, c = perm[i - 1], perm[j - 1]
-                nb = pair_index[(min(a, c), max(a, c))]
-                remapped |= ((masks >> b) & 1) << nb
-            np.minimum(canon, remapped, out=canon)
-        reps = sorted(set(canon.tolist()))
+        reps = sorted(set(_min_relabellings([b | e for b in bases for e in nbhds], k)))
     return [
         make_graph(n, [p for b, p in enumerate(pairs) if mask >> b & 1])
         for mask in reps

@@ -9,7 +9,6 @@ deletions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -159,7 +158,3 @@ def homology_report(
             sc, coeff=coeff, reduced=reduced, mem_budget=mem_budget
         )
     return report
-
-
-def homology_report_json(sc: SimplicialComplex, **kw) -> str:
-    return json.dumps(homology_report(sc, **kw))

@@ -30,10 +30,6 @@ class Polynomial:
         return cls((1,))
 
     @classmethod
-    def t(cls) -> "Polynomial":
-        return cls((0, 1))
-
-    @classmethod
     def monomial(cls, degree: int, coeff: int = 1) -> "Polynomial":
         return cls([0] * degree + [coeff])
 
@@ -184,17 +180,3 @@ def series_expand_product(p: Polynomial, k: int, r: int) -> tuple[int, ...]:
     prod = p * (Polynomial((1, -1)) ** k)
     return tuple(prod[d] for d in range(r + 1))
 
-
-def series_divide_geometric(p: Polynomial, k: int, r: int) -> tuple[int, ...]:
-    """First r+1 coefficients of the power series p(t) / (1-t)^k."""
-    if r < 0:
-        raise ValueError("truncation order must be nonnegative")
-    denom = Polynomial((1, -1)) ** k
-    out = [0] * (r + 1)
-    for d in range(r + 1):
-        # denom[0] == 1, so the recurrence is integral
-        acc = p[d]
-        for j in range(1, min(d, denom.degree) + 1):
-            acc -= denom[j] * out[d - j]
-        out[d] = acc
-    return tuple(out)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from .graphs import Graph, GraphInputError
 from .linalg import ComputationBudgetError
@@ -70,16 +70,6 @@ def project_assignment(a: Assignment, coarser: Clustering) -> Assignment:
             raise ValueError("clustering is not a refinement of the target")
         out.append((block, frozenset(labels)))
     return frozenset(out)
-
-
-def assignment_representative(a: Assignment, n: int) -> tuple[int, ...]:
-    """Minimal coset representative: one-line permutation p with p(v) = label,
-    labels sorted ascending within each block against ascending vertices."""
-    p = [0] * n
-    for block, labels in a:
-        for v, lab in zip(sorted(block), sorted(labels)):
-            p[v - 1] = lab
-    return tuple(p)
 
 
 @dataclass
@@ -221,136 +211,132 @@ def clusterings(g: Graph) -> GradedPoset:
     return all_clusterings(g)
 
 
-def cluster_permutohedron(
-    g: Graph, element_cap: int = 2_000_000, max_rank: Optional[int] = None
-) -> GradedPoset:
+ELEMENT_CAP = 2_000_000  # elements an assignment poset may have
+
+
+def _edge_subsets(g: Graph, max_rank: Optional[int]) -> tuple[GradedPoset, list[Clustering]]:
+    """Edge subsets whose components have clustering rank at most max_rank
+    (all of them by default), ordered by inclusion, with those clusterings.
+
+    The kept subsets form a down-set, so each is its prefix (the subset
+    without its largest edge) plus one edge, and its clustering is the
+    prefix's with the edge's two blocks merged.  Elements are listed by
+    size, then by their sorted edges; each cover adds one edge, and adding
+    a chord inside a block keeps the rank.
+    """
+    edges = g.sorted_edges()
+    if len(edges) > 20:
+        raise ComputationBudgetError("graphicahedron limited to 20 edges")
+    top = g.n - 1 if max_rank is None else max_rank
+    # (next edge position, subset, clustering), listed breadth first
+    kept = [(0, (), discrete_clustering(g.n))]
+    for start, d, c in kept:
+        for pos in range(start, len(edges)):
+            bi, bj = (next(b for b in c if v in b) for v in edges[pos])
+            merged = c if bi is bj else frozenset((c - {bi, bj}) | {bi | bj})
+            if clustering_rank(merged, g.n) <= top:
+                kept.append((pos + 1, d + (edges[pos],), merged))
+    labels = [frozenset(d) for _, d, _ in kept]
+    found = [c for _, _, c in kept]
+    index = {d: k for k, d in enumerate(labels)}
+    covers = sorted((index[d - {e}], k) for k, d in enumerate(labels) for e in d)
+    ranks = [clustering_rank(c, g.n) for c in found]
+    return GradedPoset(labels=labels, rank=ranks, covers=covers), found
+
+
+def _face_lattice(g: Graph, kind: str, max_rank: Optional[int]) -> tuple[GradedPoset, list[Clustering]]:
+    """The faces of the "cluster" or "graphic" assignment poset of rank at
+    most max_rank, with the clustering of each face."""
+    _require_connected(g)
+    if kind == "cluster":
+        lattice = all_clusterings(g, max_rank)
+        return lattice, lattice.labels
+    return _edge_subsets(g, max_rank)
+
+
+def cluster_permutohedron(g: Graph, max_rank: Optional[int] = None) -> GradedPoset:
     """Poset of (clustering, assignment) pairs.
 
     max_rank restricts construction to elements of rank <= max_rank, which
     avoids building elements a later skeleton() call would drop.
     """
-    _require_connected(g)
-    lattice = all_clusterings(g, max_rank)
-    uppers: list[list] = [[] for _ in lattice.labels]
-    for lo, hi in lattice.covers:
-        uppers[lo].append((lattice.labels[hi], lattice.labels[hi]))
-    faces = [
-        (c, c, r, ups) for c, r, ups in zip(lattice.labels, lattice.rank, uppers)
-    ]
-    return _assignment_poset(faces, g.n, element_cap, "cluster-permutohedron")
+    return _assignment_poset(*_face_lattice(g, "cluster", max_rank), g.n, "cluster-permutohedron")
 
 
-def skeleton_face_counts(g: Graph, max_rank: int) -> list[int]:
-    """Face counts of order_complex(cluster_permutohedron(g, max_rank=max_rank)),
-    without building either.
-
-    A chain of that poset is a chain c_0 < ... < c_d of clusterings with an
-    assignment of c_0, which fixes the assignments above it; so the d-faces
-    number the sum of assignment_multiplicity(c_0) over clustering chains.
-    """
-    _require_connected(g)
-    lattice = all_clusterings(g, max_rank)
-    below = lattice.strict_downsets()
-    counts = [0] * (max_rank + 1)
-    # ending[j][d]: chains of d + 1 clusterings ending at element j, each
-    # weighted by the assignments of its bottom element
-    ending: list[list[int]] = []
-    for j, c in enumerate(lattice.labels):
-        weights = [assignment_multiplicity(c, g.n)] + [0] * max_rank
-        rest = below[j]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            for d, k in enumerate(ending[low.bit_length() - 1][:max_rank]):
-                weights[d + 1] += k
-        ending.append(weights)
-        for d, k in enumerate(weights):
-            counts[d] += k
-    return [k for k in counts if k]
-
-
-def graphicahedron(
-    g: Graph, element_cap: int = 2_000_000, max_rank: Optional[int] = None
-) -> GradedPoset:
+def graphicahedron(g: Graph, max_rank: Optional[int] = None) -> GradedPoset:
     """Poset of (edge subset, assignment) pairs, graded by the rank of the
     clustering induced by the subset's connected components.
 
     Covers may preserve rank (adding a chord inside a block), so this
     poset is only weakly graded.
     """
-    _require_connected(g)
-    if g.num_edges > 20:
-        raise ComputationBudgetError("graphicahedron limited to 20 edges")
-    edges = g.sorted_edges()
-
-    def components_of(d: tuple) -> Clustering:
-        parent = {v: v for v in g.vertices()}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for i, j in d:
-            parent[find(i)] = find(j)
-        blocks: dict[int, set[int]] = {}
-        for v in g.vertices():
-            blocks.setdefault(find(v), set()).add(v)
-        return frozenset(frozenset(b) for b in blocks.values())
-
-    subsets = []
-    for size in range(len(edges) + 1):
-        for d in combinations(edges, size):
-            c = components_of(d)
-            r = clustering_rank(c, g.n)
-            if max_rank is not None and r > max_rank:
-                continue
-            subsets.append((d, c, r))
-    subsets.sort(key=lambda t: (len(t[0]), t[0]))
-
-    by_d = {frozenset(d): c for d, c, _ in subsets}
-    faces = []
-    for d, c, r in subsets:
-        dset = frozenset(d)
-        uppers = [
-            (dset | {e}, by_d[dset | {e}])
-            for e in edges
-            if e not in dset and dset | {e} in by_d
-        ]
-        faces.append((dset, c, r, uppers))
-    return _assignment_poset(faces, g.n, element_cap, "graphicahedron")
+    return _assignment_poset(*_face_lattice(g, "graphic", max_rank), g.n, "graphicahedron")
 
 
-def _assignment_poset(faces: list, n: int, element_cap: int, name: str) -> GradedPoset:
-    """Poset of (face key, assignment) pairs.
+def skeleton_face_counts(g: Graph, kind: str, max_rank: Optional[int]) -> list[int]:
+    """Face counts of the order complex of cluster_permutohedron (kind
+    "cluster") or graphicahedron (kind "graphic") of g up to max_rank,
+    without building either.
 
-    faces lists (key, clustering, rank, uppers) in a linear-extension
-    order, uppers being the (key, clustering) of the faces covering it.
+    A chain of the poset is a chain f_0 < ... < f_d of faces with an
+    assignment of f_0, which fixes the assignments above it; so the
+    d-faces number the sum of assignment_multiplicity(f_0) over face
+    chains.  A graphicahedron cover may keep the rank, so chains are as
+    long as the face lattice's longest chain, not max_rank + 1.
+    """
+    lattice, found = _face_lattice(g, kind, max_rank)
+    below = lattice.strict_downsets()
+    counts: list[int] = []
+    # ending[j][d]: chains of d + 1 faces ending at face j, each weighted
+    # by the assignments of its bottom face
+    ending: list[list[int]] = []
+    for j, c in enumerate(found):
+        weights = [assignment_multiplicity(c, g.n)]
+        rest = below[j]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            shorter = ending[low.bit_length() - 1]
+            weights += [0] * (len(shorter) + 1 - len(weights))
+            for d, k in enumerate(shorter, 1):
+                weights[d] += k
+        ending.append(weights)
+        counts += [0] * (len(weights) - len(counts))
+        for d, k in enumerate(weights):
+            counts[d] += k
+    return counts
+
+
+def _assignment_poset(
+    lattice: GradedPoset, found: list[Clustering], n: int, name: str
+) -> GradedPoset:
+    """Poset of (face, assignment) pairs over a face lattice whose faces
+    have the clusterings found.
+
     An element covers another when its face covers the other's and its
     assignment is the other's pushed forward to the coarser clustering.
     """
     total = 0
-    for _, c, _, _ in faces:
+    for c in found:
         total += assignment_multiplicity(c, n)
-        if total > element_cap:
-            raise ComputationBudgetError(f"{name} would exceed {element_cap} elements")
-    assigned = [assignments_for(c, n) for _, c, _, _ in faces]
+        if total > ELEMENT_CAP:
+            raise ComputationBudgetError(f"{name} would exceed {ELEMENT_CAP} elements")
+    assigned = [assignments_for(c, n) for c in found]
     labels: list = []
     rank: list[int] = []
     index: dict = {}
-    for (key, _, r, _), assignments in zip(faces, assigned):
+    for face, r, assignments in zip(lattice.labels, lattice.rank, assigned):
         for a in assignments:
-            index[(key, a)] = len(labels)
-            labels.append((key, a))
+            index[(face, a)] = len(labels)
+            labels.append((face, a))
             rank.append(r)
-    covers = []
-    for (key, _, _, uppers), assignments in zip(faces, assigned):
-        for a in assignments:
-            lo = index[(key, a)]
-            for up_key, up_c in uppers:
-                covers.append((lo, index[(up_key, project_assignment(a, up_c))]))
-    return GradedPoset(labels=labels, rank=rank, covers=sorted(set(covers)))
+    faces = lattice.labels
+    covers = {
+        (index[(faces[lo], a)], index[(faces[hi], project_assignment(a, found[hi]))])
+        for lo, hi in lattice.covers
+        for a in assigned[lo]
+    }
+    return GradedPoset(labels=labels, rank=rank, covers=sorted(covers))
 
 
 def skeleton(p: GradedPoset, r: int) -> GradedPoset:

@@ -268,19 +268,22 @@ def _limit_address_space():
 
 
 @pytest.mark.parametrize(
-    "coeff, stdin, message",
+    "poset, coeff, stdin, message",
     [
-        ("f2", CYCLE7, "packed GF(2) matrix needs 19673617824 bytes, budget 2147483648"),
-        ("z", CYCLE6, "matrix 127446x581040 exceeds Smith normal form cap 200000"),
+        ("cluster", "f2", CYCLE7, "packed GF(2) matrix needs 19673617824 bytes, budget 2147483648"),
+        ("cluster", "z", CYCLE6, "matrix 127446x581040 exceeds Smith normal form cap 200000"),
+        ("graphic", "f2", CYCLE6, "packed GF(2) matrix needs 18520935168 bytes, budget 2147483648"),
+        ("graphic", "f2", CYCLE7, "packed GF(2) matrix needs 22388977744 bytes, budget 2147483648"),
     ],
-    ids=["f2-cycle7", "z-cycle6"],
+    ids=["f2-cycle7", "z-cycle6", "graphic-f2-cycle6", "graphic-f2-cycle7"],
 )
-def test_clusterperm_refuses_from_face_counts(coeff, stdin, message):
-    # built, the C7 order complex exhausts the address space and the C6 one
-    # takes seconds; refused from its face counts, neither is built
+def test_clusterperm_refuses_from_face_counts(poset, coeff, stdin, message):
+    # built, the C7 order complexes exhaust the address space and the C6
+    # ones take seconds; refused from their face counts, none is built
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "diagclass.cli", "clusterperm", "-", "--coeff", coeff],
+        [sys.executable, "-m", "diagclass.cli", "clusterperm", "-", "--poset", poset,
+         "--coeff", coeff],
         input=stdin, capture_output=True, text=True, env=_child_env(), timeout=20,
         preexec_fn=_limit_address_space,
     )

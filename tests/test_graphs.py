@@ -1,10 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+import diagclass
 from diagclass.graphs import (
     Graph,
     GraphInputError,
@@ -124,12 +130,36 @@ def test_canonical_form_invariant():
     h = relabel(g, [3, 1, 2, 6, 4, 5])
     assert canonical_form(g) == canonical_form(h)
     assert canonical_form(g) != canonical_form(named_graph("sun3"))
+    # against networkx: relabelled atlas graphs share a key exactly when
+    # they are isomorphic
+    from networkx.generators.atlas import graph_atlas_g
+
+    rng = random.Random(5)
+    atlas = [a for a in graph_atlas_g() if 0 < a.number_of_nodes() <= 5]
+    keys = []
+    for a in atlas:
+        perm = list(range(1, a.number_of_nodes() + 1))
+        rng.shuffle(perm)
+        keys.append(canonical_form(make_graph(len(perm), [(perm[i], perm[j]) for i, j in a.edges])))
+    for (a, ka), (b, kb) in combinations(zip(atlas, keys), 2):
+        assert (ka == kb) == nx.is_isomorphic(a, b)
 
 
 def test_connected_graphs_up_to_iso_counts():
     # OEIS A001349 (connected graphs): 1, 1, 2, 6, 21, 112
     counts = [len(connected_graphs_up_to_iso(n)) for n in range(1, 7)]
     assert counts == [1, 1, 2, 6, 21, 112]
+
+
+def test_connected_graphs_without_numpy():
+    # a fresh interpreter in which importing numpy fails
+    probe = ("import sys; sys.modules['numpy'] = None; "
+             "from diagclass.graphs import connected_graphs_up_to_iso; "
+             "print(len(connected_graphs_up_to_iso(6)))")
+    src = str(Path(diagclass.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "112\n", "")
 
 
 def test_connected_graphs_match_networkx_atlas():

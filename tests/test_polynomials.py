@@ -4,7 +4,6 @@ from diagclass.polynomials import (
     InexactDivisionError,
     Polynomial,
     poly_divide_exact,
-    series_divide_geometric,
     series_expand_product,
 )
 
@@ -48,12 +47,3 @@ def test_series_expand_product():
     assert series_expand_product(Polynomial([1, 5, 14]), 3, 2) == (1, 2, 2)
     assert series_expand_product(Polynomial.one(), 0, 2) == (1, 0, 0)
 
-
-def test_series_divide_geometric():
-    # (1 + 2t + 2t^2 + t^3)/(1-t)^3 begins 1, 5, 14
-    assert series_divide_geometric(Polynomial([1, 2, 2, 1]), 3, 2) == (1, 5, 14)
-    # expand then contract round-trips
-    p = Polynomial([3, 1, 4, 1])
-    coeffs = series_divide_geometric(p, 2, 6)
-    back = series_expand_product(Polynomial(coeffs), 2, 3)
-    assert back == p.coeffs + (0,) * (4 - len(p.coeffs))
