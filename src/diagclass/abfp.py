@@ -39,7 +39,7 @@ from .hessenberg import (
     recognize_indifference,
     staircase_key,
 )
-from .homology import betti_numbers, check_homology_budget
+from .homology import poset_homology
 from .linalg import (
     DEFAULT_MEM_BUDGET,
     ComputationBudgetError,
@@ -51,10 +51,7 @@ from .posets import (
     Clustering,
     all_clusterings,
     assignment_multiplicity,
-    cluster_permutohedron,
     clustering_rank,
-    order_complex,
-    skeleton_face_counts,
 )
 
 T_MINUS_1 = Polynomial([-1, 1])
@@ -162,16 +159,16 @@ def abfp_consistency_test(g: Graph, beta2: int, beta4: int) -> ConsistencyResult
         rhs.append(Fraction(value))
         row += 1
     a = SparseMatrix.from_triples(row, nb + d + 1, triples)
-    sol = solve_affine_system(a, rhs)
-    if not sol.consistent:
+    forced_values = solve_affine_system(a, rhs)
+    if forced_values is None:
         # distinguish raw infeasibility from substitution clash
         raw = SparseMatrix.from_triples(
             subst_start, nb + d + 1,
             [t for t in triples if t[0] < subst_start],
         )
-        raw_sol = solve_affine_system(raw, rhs[:subst_start])
-        return ConsistencyResult(False, None, beta4, system_infeasible=not raw_sol.consistent)
-    forced = sol.forced_coordinate(2)
+        infeasible = solve_affine_system(raw, rhs[:subst_start]) is None
+        return ConsistencyResult(False, None, beta4, system_infeasible=infeasible)
+    forced = forced_values.get(2)
     if forced is not None and forced != beta4:
         return ConsistencyResult(False, forced, beta4)
     return ConsistencyResult(True, forced, beta4)
@@ -213,10 +210,7 @@ def _skeleton_homology_evidence(wg: Graph, mem_budget: int) -> Optional[dict]:
     coefficient ring, so a nonzero H1 over the 2-element field (the
     cheapest exact computation) is already an obstruction.
     """
-    # the shapes are refused before the poset is built
-    check_homology_budget(skeleton_face_counts(wg, "cluster", 2), "gf2", mem_budget)
-    cp = cluster_permutohedron(wg, max_rank=2)
-    betti = betti_numbers(order_complex(cp), coeff="gf2", mem_budget=mem_budget)
+    betti = poset_homology(wg, "cluster", 2, "gf2", mem_budget)["betti"]
     h1 = betti[1] if len(betti) > 1 else 0
     if h1 == 0:
         return None
@@ -278,10 +272,10 @@ def formality_report(
     the budget.
 
     Strategies run cheapest-first.  The skeleton-homology obstruction is
-    attempted for claw and cycle witnesses, where the rank-2 skeleton
-    carries nonzero H1; for the other two witness shapes those skeleta
-    are acyclic in low degrees, so the moment-graph and orbit-space
-    strategies go first there.
+    attempted only for claw and cycle witnesses, where the rank-2 skeleton
+    carries nonzero H1; the rank-2 skeleta of the net and the 3-sun have
+    no H1 over GF(2), so only the moment-graph and orbit-space strategies
+    are tried there.
     """
     if not g.is_connected():
         raise GraphInputError("formality verdict requires a connected graph")
@@ -306,11 +300,13 @@ def _witness_evidence(kind: str, length: Optional[int], mem_budget: int) -> Opti
     imported, so a rebinding of their names is seen.
     """
     wg = named_graph(kind, length)
-    heavy = (_total_betti_evidence, _abfp_evidence)
-    if kind in ("claw", "cycle"):
-        strategies = (_skeleton_homology_evidence, *heavy)
-    else:
-        strategies = (*heavy, _skeleton_homology_evidence)
+    skeleton, total, orbit = _skeleton_homology_evidence, _total_betti_evidence, _abfp_evidence
+    strategies = {
+        "claw": (skeleton, total, orbit),
+        "cycle": (skeleton, total, orbit),
+        "net": (total, orbit),
+        "sun3": (total, orbit),
+    }[kind]
     budget_hit = False
     for strategy in strategies:
         try:

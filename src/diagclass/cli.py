@@ -25,9 +25,9 @@ from .hessenberg import (
     recognize_indifference,
     staircase_key,
 )
-from .homology import check_homology_budget, homology_report
+from .homology import poset_homology
 from .linalg import DEFAULT_MEM_BUDGET, ComputationBudgetError, RankCertificationError
-from .posets import cluster_permutohedron, graphicahedron, order_complex, skeleton_face_counts
+from .posets import cluster_permutohedron, graphicahedron
 
 BUDGET_ENV = "DIAGCLASS_MEM_BUDGET"
 
@@ -86,11 +86,6 @@ def _nonnegative(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"rank bound must be nonnegative, got {value}")
     return value
-
-
-def _poset(g: Graph, kind: str, skeleton_rank: int | None):
-    build = cluster_permutohedron if kind == "cluster" else graphicahedron
-    return build(g, max_rank=skeleton_rank)
 
 
 # (flags, add_argument keywords) shared by several commands
@@ -173,13 +168,7 @@ def clusterperm(source: str, poset: str, skeleton_rank: int | None, coeff: str,
     """Cluster-permutohedron / graphicahedron homology of a skeleton."""
     budget = _budget(mem_budget)
     g, text = _read_graph(source)
-    # refused from its face counts before the poset is built
-    check_homology_budget(skeleton_face_counts(g, poset, skeleton_rank), _COEFFS[coeff], budget)
-    p = _poset(g, poset, skeleton_rank)
-    report = homology_report(order_complex(p), coeff=_COEFFS[coeff], mem_budget=budget)
-    report["poset"] = poset
-    report["elements"] = len(p)
-    report["skeleton"] = skeleton_rank
+    report = poset_homology(g, poset, skeleton_rank, _COEFFS[coeff], budget)
     report["config"] = _config_stamp(text, coeff=coeff)
     _emit(report, fmt)
 
@@ -222,7 +211,8 @@ def export_dot(source: str, kind: str, skeleton_rank: int | None) -> None:
     if kind == "gkm":
         print(build_gkm_graph(g).to_dot())
     else:
-        print(_poset(g, kind, skeleton_rank).to_dot())
+        build = cluster_permutohedron if kind == "cluster" else graphicahedron
+        print(build(g, max_rank=skeleton_rank).to_dot())
 
 
 def main(args: list[str] | None = None, prog_name: str = "diagclass") -> None:

@@ -188,20 +188,14 @@ def equivariant_betti_series(
     ]
 
 
-def ordinary_betti_from_equivariant(
-    dims: list[int], k: int, r: Optional[int] = None
-) -> list[int]:
-    """beta_0, beta_2, ..., beta_2r as the expansion of (sum dims t^i)(1-t)^k.
+def ordinary_betti_from_equivariant(dims: list[int], k: int) -> list[int]:
+    """beta_0, beta_2, ..., beta_2r as the expansion of (sum dims t^i)(1-t)^k,
+    r being the highest degree the equivariant dimensions cover.
 
     k is the torus rank; the noneffective convention k = n matches the
-    matrix sizes used throughout this module.  Valid only up to the
-    degree the equivariant dimensions cover.
+    matrix sizes used throughout this module.
     """
-    if r is None:
-        r = len(dims) - 1
-    if r >= len(dims):
-        raise ValueError("not enough equivariant dimensions for that degree")
-    return list(series_expand_product(Polynomial(dims), k, r))
+    return list(series_expand_product(Polynomial(dims), k, len(dims) - 1))
 
 
 def kernel_matrix_shape(n: int, pattern_edges: int, degree: int) -> tuple[int, int]:

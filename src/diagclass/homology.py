@@ -1,10 +1,14 @@
-"""Simplicial homology of order complexes: boundary matrices, Betti
-numbers over the 2-element field or the rationals, and integral homology
-with torsion via Smith normal form.
+"""Reduced simplicial homology of order complexes over the 2-element
+field, the rationals or the integers, and the homology of a skeleton of a
+clustering poset.
 
-Faces carry the orientation induced by sorted vertex tuples, so the
-boundary of (v_0 < ... < v_d) is the alternating sum over vertex
-deletions.
+One path serves every ring: each boundary map is eliminated with the
+ring's kernel (`rank_gf2`, `rank_rational` or `smith_normal_form`), and
+over the integers the number of Smith divisors is the rank and the
+divisors above 1 are the torsion.  The augmentation is the boundary map
+d_0, so every Betti number is reduced.  Faces carry the orientation
+induced by sorted vertex tuples, so the boundary of (v_0 < ... < v_d) is
+the alternating sum over vertex deletions.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .graphs import Graph
 from .linalg import (
     DEFAULT_MEM_BUDGET,
     SparseMatrix,
@@ -20,9 +25,15 @@ from .linalg import (
     rank_rational,
     smith_normal_form,
 )
-from .posets import SimplicialComplex
+from .posets import (
+    SimplicialComplex,
+    cluster_permutohedron,
+    graphicahedron,
+    order_complex,
+    skeleton_face_counts,
+)
 
-COEFF_FIELDS = ("gf2", "rational")
+COEFFS = ("gf2", "rational", "integer")
 
 
 def boundary_matrix(sc: SimplicialComplex, d: int) -> SparseMatrix:
@@ -40,55 +51,62 @@ def boundary_matrix(sc: SimplicialComplex, d: int) -> SparseMatrix:
     return SparseMatrix.from_triples(len(sc.faces[d - 1]), len(sc.faces[d]), triples)
 
 
-def chain_complex(sc: SimplicialComplex) -> list[SparseMatrix]:
-    """Boundary matrices [d_0 (augmentation), d_1, ..., d_dim]."""
-    return [boundary_matrix(sc, d) for d in range(sc.dim + 1)]
-
-
 def check_homology_budget(
     face_counts: list[int], coeff: str, mem_budget: int = DEFAULT_MEM_BUDGET
 ) -> None:
     """Refuse, from the face counts alone, a complex one of whose boundary
-    maps `betti_numbers` (coeff "gf2" or "rational") would refuse to
-    eliminate, or `integral_homology` (coeff "integer") to put in Smith
-    normal form, with its message."""
+    maps `reduced_homology` would refuse to eliminate over coeff, with the
+    kernel's message."""
     for d, cols in enumerate(face_counts):
         check_rank_budget(face_counts[d - 1] if d else 1, cols, coeff, mem_budget)
 
 
-def _ranks(sc: SimplicialComplex, coeff: str, mem_budget: int) -> list[int]:
-    # every boundary map is checked before the first is eliminated, so a
-    # refusal costs no elimination
+def reduced_homology(
+    sc: SimplicialComplex, coeff: str, mem_budget: int = DEFAULT_MEM_BUDGET
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Reduced Betti numbers and torsion of sc in each dimension, over
+    coeff: "gf2", "rational" or "integer".
+
+    torsion[d] is the divisibility chain of the finite cyclic summands of
+    H_d, each above 1; it is empty over a field.  Every boundary map is
+    checked against the budget before the first is eliminated, so a
+    refusal costs no elimination.
+    """
+    if coeff not in COEFFS:
+        raise ValueError(f"coeff must be one of {COEFFS}")
+    if not sc.faces or not sc.faces[0]:
+        return [], []
     check_homology_budget(sc.face_counts(), coeff, mem_budget)
-    rank_fn = {"gf2": rank_gf2, "rational": rank_rational}[coeff]
-    out = []
+    ranks: list[int] = []
+    torsion: list[tuple[int, ...]] = []
     for d in range(sc.dim + 1):
         m = boundary_matrix(sc, d)
-        out.append(rank_fn(m, mem_budget=mem_budget) if m.cols and m.rows else 0)
-    out.append(0)  # rank of the zero map above top dimension
-    return out
+        divisors: tuple[int, ...] = ()
+        if not (m.rows and m.cols):
+            rank = 0
+        elif coeff == "integer":
+            divisors = smith_normal_form(m)
+            rank = len(divisors)
+        else:
+            rank = (rank_gf2 if coeff == "gf2" else rank_rational)(m, mem_budget=mem_budget)
+        ranks.append(rank)
+        torsion.append(tuple(t for t in divisors if t > 1))
+    # the zero map above the top dimension; H_d's torsion comes from d_{d+1}
+    ranks.append(0)
+    torsion.append(())
+    betti = [len(sc.faces[d]) - ranks[d] - ranks[d + 1] for d in range(sc.dim + 1)]
+    return betti, torsion[1:]
 
 
 def betti_numbers(
-    sc: SimplicialComplex,
-    coeff: str = "rational",
-    reduced: bool = True,
-    mem_budget: int = DEFAULT_MEM_BUDGET,
+    sc: SimplicialComplex, coeff: str = "rational", mem_budget: int = DEFAULT_MEM_BUDGET
 ) -> list[int]:
-    """Reduced (default) or unreduced Betti numbers in each dimension.
+    """Reduced Betti numbers in each dimension.
 
     Over gf2 these are dimensions of homology with 2-element-field
     coefficients; over the rationals they are the ordinary Betti numbers.
     """
-    if coeff not in COEFF_FIELDS:
-        raise ValueError(f"coeff must be one of {COEFF_FIELDS}")
-    if not sc.faces or not sc.faces[0]:
-        return []
-    r = _ranks(sc, coeff, mem_budget)
-    betti = [len(sc.faces[d]) - r[d] - r[d + 1] for d in range(sc.dim + 1)]
-    if not reduced:
-        betti[0] += 1  # undo the augmentation
-    return betti
+    return reduced_homology(sc, coeff, mem_budget)[0]
 
 
 @dataclass(frozen=True)
@@ -97,7 +115,6 @@ class IntegralHomology:
 
     free_rank: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
-    reduced: bool
 
     def describe(self, d: int) -> str:
         parts = []
@@ -107,54 +124,48 @@ class IntegralHomology:
         return " + ".join(parts) if parts else "0"
 
 
-def integral_homology(sc: SimplicialComplex, reduced: bool = True) -> IntegralHomology:
-    """Homology with integer coefficients from Smith normal forms."""
-    if not sc.faces or not sc.faces[0]:
-        return IntegralHomology((), (), reduced)
-    # every boundary map is checked before the first Smith normal form
-    check_homology_budget(sc.face_counts(), "integer")
-    divisors = []
-    for d in range(sc.dim + 1):
-        m = boundary_matrix(sc, d)
-        divisors.append(smith_normal_form(m) if m.cols else ())
-    divisors.append(())
-    free = []
-    torsion = []
-    for d in range(sc.dim + 1):
-        r_d = len(divisors[d])
-        r_up = len(divisors[d + 1])
-        free.append(len(sc.faces[d]) - r_d - r_up)
-        torsion.append(tuple(t for t in divisors[d + 1] if t not in (0, 1)))
-    if not reduced:
-        free[0] += 1
-    return IntegralHomology(tuple(free), tuple(torsion), reduced)
+def integral_homology(sc: SimplicialComplex) -> IntegralHomology:
+    """Reduced homology with integer coefficients."""
+    free, torsion = reduced_homology(sc, "integer")
+    return IntegralHomology(tuple(free), tuple(torsion))
 
 
 def homology_report(
-    sc: SimplicialComplex,
-    coeff: str = "rational",
-    reduced: bool = True,
-    mem_budget: int = DEFAULT_MEM_BUDGET,
+    sc: SimplicialComplex, coeff: str = "rational", mem_budget: int = DEFAULT_MEM_BUDGET
 ) -> dict:
-    """JSON-ready summary of face counts, Betti numbers, Euler characteristic,
-    over "gf2", "rational" or "integer" (with torsion).
+    """JSON-ready summary of face counts, Euler characteristic and reduced
+    Betti numbers over "gf2", "rational" or "integer" (with torsion).
 
-    The budget bounds the rank computations; integral homology is bounded
-    by the Smith normal form's size cap instead.
+    The budget bounds the rank computations; the Smith normal form is
+    bounded by its size cap instead.
     """
+    betti, torsion = reduced_homology(sc, coeff, mem_budget)
     report = {
         "coeff": coeff,
-        "reduced": reduced,
+        "reduced": True,
         "face_counts": sc.face_counts(),
         "euler_characteristic": sc.euler_characteristic(),
+        "betti": betti,
     }
     if coeff == "integer":
-        ih = integral_homology(sc, reduced=reduced)
-        report["betti"] = list(ih.free_rank)
-        report["torsion"] = [list(t) for t in ih.torsion]
-        report["homology"] = [ih.describe(d) for d in range(len(ih.free_rank))]
-    else:
-        report["betti"] = betti_numbers(
-            sc, coeff=coeff, reduced=reduced, mem_budget=mem_budget
-        )
+        ih = IntegralHomology(tuple(betti), tuple(torsion))
+        report["torsion"] = [list(t) for t in torsion]
+        report["homology"] = [ih.describe(d) for d in range(len(betti))]
+    return report
+
+
+def poset_homology(
+    g: Graph, kind: str, max_rank: Optional[int], coeff: str, mem_budget: int
+) -> dict:
+    """`homology_report` of the order complex of the cluster-permutohedron
+    (kind "cluster") or the graphicahedron (kind "graphic") of g up to
+    rank max_rank, with the poset's kind, element count and rank bound.
+
+    The complex is refused from its face counts before the poset is built.
+    """
+    check_homology_budget(skeleton_face_counts(g, kind, max_rank), coeff, mem_budget)
+    build = cluster_permutohedron if kind == "cluster" else graphicahedron
+    p = build(g, max_rank=max_rank)
+    report = homology_report(order_complex(p), coeff=coeff, mem_budget=mem_budget)
+    report.update(poset=kind, elements=len(p), skeleton=max_rank)
     return report

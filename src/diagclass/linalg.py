@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
@@ -273,11 +273,16 @@ def rank_rational(m: SparseMatrix, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
 # -- Smith normal form ------------------------------------------------
 
 def smith_normal_form(m: SparseMatrix) -> tuple[int, ...]:
-    """Elementary divisors d1 | d2 | ... of an integer matrix.
+    """Elementary divisors d1 | d2 | ... of an integer matrix; their
+    number is its rank.
 
-    Classical elimination with smallest-pivot selection; intended for the
-    small integral-homology targets.  A finished pivot's row and column
-    leave the matrix, so each pivot search sees only what is left.
+    Classical elimination with smallest-pivot selection: the pivot's row
+    and column are cleared by floor-division quotients, and a nonzero
+    remainder, smaller than the pivot, becomes the next pivot.  A finished
+    pivot's row and column leave the matrix, so each pivot search sees
+    only what is left.  The pivots are then folded into a divisibility
+    chain by gcd/lcm insertion; pivots equal to 1, the common case on
+    boundary maps, stay at the front of the chain and need no folding.
     """
     check_rank_budget(m.rows, m.cols, "integer")
     rows: dict[int, dict[int, int]] = {}  # rows[r][c]: the nonzero entries
@@ -294,7 +299,8 @@ def smith_normal_form(m: SparseMatrix) -> tuple[int, ...]:
     for r, c, v in zip(m.row, m.col, m.val):
         put(r, c, v)
 
-    divisors: list[int] = []
+    units = 0
+    chain: list[int] = []  # the other pivots' divisors, each dividing the next
     while rows:
         best = None
         for r, cs in rows.items():
@@ -311,7 +317,7 @@ def smith_normal_form(m: SparseMatrix) -> tuple[int, ...]:
             reduced = False
             for r in list(cols[pc]):
                 if r != pr:
-                    q = round(Fraction(rows[r][pc], pv))
+                    q = rows[r][pc] // pv
                     if q:
                         for c, v in list(rows[pr].items()):
                             put(r, c, rows[r].get(c, 0) - q * v)
@@ -320,7 +326,7 @@ def smith_normal_form(m: SparseMatrix) -> tuple[int, ...]:
                     reduced |= pc in rows.get(r, ())
             for c in list(rows[pr]):
                 if c != pc:
-                    q = round(Fraction(rows[pr][c], pv))
+                    q = rows[pr][c] // pv
                     if q:
                         for r in list(cols[pc]):
                             put(r, c, rows[r].get(c, 0) - q * rows[r][pc])
@@ -338,46 +344,31 @@ def smith_normal_form(m: SparseMatrix) -> tuple[int, ...]:
                 if abs(v) < cand[0]:
                     cand = (abs(v), pr, c)
             _, pr, pc = cand
-        divisors.append(abs(rows.pop(pr)[pc]))
+        x = abs(rows.pop(pr)[pc])
         del cols[pc]
-
-    # enforce the divisibility chain d1 | d2 | ...
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(divisors)):
-            for j in range(i + 1, len(divisors)):
-                a, b = divisors[i], divisors[j]
-                if b % a != 0:
-                    g = math.gcd(a, b)
-                    divisors[i], divisors[j] = g, a * b // g
-                    changed = True
-    return tuple(sorted(divisors))
+        if x == 1:
+            units += 1
+            continue
+        # diag(c, x) ~ diag(gcd, lcm): each link keeps the gcd and passes
+        # the lcm on, which the next link divides or absorbs
+        for i, c in enumerate(chain):
+            g = math.gcd(c, x)
+            chain[i], x = g, c // g * x
+        chain.append(x)
+    return (1,) * units + tuple(chain)
 
 
 # -- exact affine systems --------------------------------------------
 
-@dataclass
-class AffineSolutionSet:
-    """Solutions of A x = b over Q: particular + homogeneous basis."""
-
-    consistent: bool
-    particular: Optional[list[Fraction]] = None
-    basis: list[list[Fraction]] = field(default_factory=list)
-
-    def forced_coordinate(self, i: int) -> Optional[Fraction]:
-        """Value of coordinate i if it is constant on the solution set."""
-        if not self.consistent or self.particular is None:
-            return None
-        if any(v[i] != 0 for v in self.basis):
-            return None
-        return self.particular[i]
-
-
 def solve_affine_system(
     a: SparseMatrix, b: Sequence[Fraction | int]
-) -> AffineSolutionSet:
-    """Full exact solution set of A x = b, or an inconsistency verdict."""
+) -> Optional[dict[int, Fraction]]:
+    """The coordinates that are constant on the solution set of A x = b
+    over Q, as {coordinate: value}, or None when there is no solution.
+
+    In the reduced echelon form a coordinate is constant exactly when it
+    is a pivot whose row has no entry in a free column.
+    """
     rows, cols = a.rows, a.cols
     if len(b) != rows:
         raise ValueError("right-hand side length mismatch")
@@ -404,17 +395,8 @@ def solve_affine_system(
             break
     for i in range(r, rows):
         if M[i][cols] != 0:
-            return AffineSolutionSet(consistent=False)
-
-    particular = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        particular[c] = M[i][cols]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -M[i][fc]
-        basis.append(vec)
-    return AffineSolutionSet(consistent=True, particular=particular, basis=basis)
+            return None
+    free = set(range(cols)).difference(pivots)
+    return {
+        c: M[i][cols] for i, c in enumerate(pivots) if not any(M[i][f] for f in free)
+    }

@@ -132,12 +132,6 @@ class Polynomial:
             k >>= 1
         return result
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def is_palindromic(self) -> bool:
         return self.coeffs == self.coeffs[::-1]
 

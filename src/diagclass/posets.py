@@ -10,7 +10,6 @@ edge subset, remembering which edges produced the blocks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -130,17 +129,6 @@ class GradedPoset:
                 raise ValueError("element order is not a linear extension")
 
     # -- exports -------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "elements": [
-                    {"id": i, "rank": self.rank[i], "label": _label_str(self.labels[i])}
-                    for i in range(len(self.labels))
-                ],
-                "covers": [[lo, hi] for lo, hi in self.covers],
-            }
-        )
 
     def to_dot(self) -> str:
         lines = ["digraph hasse {", "  rankdir=BT;"]
@@ -363,7 +351,6 @@ def skeleton(p: GradedPoset, r: int) -> GradedPoset:
 class SimplicialComplex:
     """Full face list per dimension; faces are sorted vertex tuples."""
 
-    n_vertices: int
     faces: list[list[tuple[int, ...]]]  # faces[d] = list of d-simplices
 
     @property
@@ -378,7 +365,13 @@ class SimplicialComplex:
 
 
 def order_complex(p: GradedPoset) -> SimplicialComplex:
-    """Simplices are the totally ordered subsets (chains) of the poset."""
+    """Simplices are the totally ordered subsets (chains) of the poset.
+
+    The chains are listed level by level: a (d+1)-chain is a d-chain plus
+    an element above its top, which is then above all of it.  The d-chains
+    are in increasing order and each element's upper set is too, so every
+    dimension comes out sorted.
+    """
     n = len(p)
     below = p.strict_downsets()
     above: list[list[int]] = [[] for _ in range(n)]
@@ -389,24 +382,8 @@ def order_complex(p: GradedPoset) -> SimplicialComplex:
             above[x.bit_length() - 1].append(y)
             d ^= x
     faces: list[list[tuple[int, ...]]] = []
-
-    def record(chain: tuple[int, ...]) -> None:
-        d = len(chain) - 1
-        while len(faces) <= d:
-            faces.append([])
-        faces[d].append(chain)
-
-    def extend(chain: list[int]) -> None:
-        record(tuple(chain))
-        for y in above[chain[-1]]:
-            # keep only y comparable with every element (chain is nested, so
-            # comparability with the top element suffices)
-            chain.append(y)
-            extend(chain)
-            chain.pop()
-
-    for v in range(n):
-        extend([v])
-    for fs in faces:
-        fs.sort()
-    return SimplicialComplex(n_vertices=n, faces=faces)
+    level = [(v,) for v in range(n)]
+    while level:
+        faces.append(level)
+        level = [chain + (y,) for chain in level for y in above[chain[-1]]]
+    return SimplicialComplex(faces=faces)

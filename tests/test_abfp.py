@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from diagclass import abfp
+from diagclass import abfp, homology
 from diagclass.abfp import (
     ConsistencyResult,
     _skeleton_homology_evidence,
@@ -158,10 +158,23 @@ def test_formality_sun3_abfp_evidence():
     assert rep.evidence["forced_b2"] == "20"
 
 
-def test_formality_undetermined_under_tiny_budget():
+def test_formality_undetermined_under_tiny_budget(monkeypatch):
+    # the budget refuses both moment-graph strategies, and the net's verdict
+    # comes without trying its acyclic skeleton
+    def untried(*args, **kwargs):
+        raise AssertionError("skeleton strategy tried for a net")
+
+    monkeypatch.setattr(abfp, "_skeleton_homology_evidence", untried)
+    abfp._witness_evidence.cache_clear()
     rep = formality_report(named_graph("net"), mem_budget=1000)
     assert rep.verdict == "undetermined"
     assert rep.witness.kind == "net"
+
+
+def test_net_rank_two_skeleton_has_no_h1():
+    rep = homology.poset_homology(named_graph("net"), "cluster", 2, "gf2", 2 * 1024**3)
+    assert rep["face_counts"] == [4800, 23400, 19440]
+    assert rep["betti"][1] == 0
 
 
 def test_skeleton_strategy_refuses_before_building_the_poset(monkeypatch):
@@ -169,7 +182,7 @@ def test_skeleton_strategy_refuses_before_building_the_poset(monkeypatch):
     def unbuilt(*args, **kwargs):
         raise AssertionError("poset built for a refused skeleton")
 
-    monkeypatch.setattr(abfp, "cluster_permutohedron", unbuilt)
+    monkeypatch.setattr(homology, "cluster_permutohedron", unbuilt)
     with pytest.raises(ComputationBudgetError, match="packed GF"):
         _skeleton_homology_evidence(named_graph("cycle", 7), 2 * 1024**3)
 

@@ -17,7 +17,7 @@ from diagclass.hessenberg import (
     is_indifference,
     recognize_indifference,
 )
-from diagclass.homology import betti_numbers, chain_complex, integral_homology
+from diagclass.homology import betti_numbers, boundary_matrix, integral_homology
 from diagclass.posets import cluster_permutohedron, order_complex, skeleton
 
 
@@ -177,7 +177,7 @@ def test_criterion_09_end_to_end_small_patterns():
 def test_criterion_10_structural_invariants():
     # boundary-of-boundary vanishes on the star's skeleton complex
     sc = _claw_skeleton_complex()
-    cc = chain_complex(sc)
+    cc = [boundary_matrix(sc, d) for d in range(sc.dim + 1)]
     for d in range(1, len(cc)):
         a = cc[d - 1].to_dense()
         b = cc[d].to_dense()
@@ -188,7 +188,7 @@ def test_criterion_10_structural_invariants():
     for h in ((2, 3, 3), (3, 3, 3), (2, 3, 4, 4), (4, 4, 4, 4)):
         poly = betti_polynomial_hessenberg(HessenbergFunction(h))
         assert poly.is_palindromic()
-        assert poly(1) == math.factorial(len(h))
+        assert sum(poly.coeffs) == math.factorial(len(h))
     # tree patterns: edge-subset poset and clustering poset coincide
     from diagclass.posets import graphicahedron
 

@@ -1,9 +1,12 @@
 import contextlib
 import csv
+import importlib
+import inspect
 import io
 import json
 import os
 import resource
+import runpy
 import subprocess
 import sys
 import time
@@ -383,3 +386,15 @@ def _heavy_modules_loaded(args, stdin):
 )
 def test_cli_runs_without_numpy_or_scipy(args, stdin):
     assert _heavy_modules_loaded(args, stdin) == []
+
+
+def test_benchmark_tracer_boundaries_resolve():
+    # the benchmark's traced runner wraps each of these names in its module;
+    # one that is no longer a function there breaks `perfbench/run.py --trace 1`
+    layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    for modname, names in runpy.run_path(str(layers))["BOUNDARIES"].items():
+        module = importlib.import_module(f"diagclass.{modname}")
+        for name in names:
+            fn = getattr(module, name, None)
+            assert inspect.isfunction(fn), f"{modname}.{name}"
+            assert fn.__module__ == module.__name__, f"{modname}.{name}"

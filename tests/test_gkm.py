@@ -99,9 +99,7 @@ def test_orientation_independence():
 
 
 def test_ordinary_betti_expansion():
-    assert ordinary_betti_from_equivariant([1, 5, 14], 3, r=2) == [1, 2, 2]
-    with pytest.raises(ValueError):
-        ordinary_betti_from_equivariant([1, 5], 3, r=2)
+    assert ordinary_betti_from_equivariant([1, 5, 14], 3) == [1, 2, 2]
 
 
 def test_total_betti_triangle():

@@ -378,21 +378,33 @@ def test_smith_normal_form_against_minor_gcds():
             continue
         got = smith_normal_form(sparse_from_dense(dense))
         assert got == minor_gcd_divisors(dense)
+    # several non-unit divisors in no divisibility order, on the diagonal
+    # and hidden by unimodular row and column operations
+    for _ in range(40):
+        k = rng.randint(2, 5)
+        diag = [rng.choice((2, 3, 4, 6, 9, 10, 12, 15, 18, 25)) for _ in range(k)]
+        dense = [[diag[i] if i == j else 0 for j in range(k)] for i in range(k)]
+        expected = minor_gcd_divisors(dense)
+        assert smith_normal_form(sparse_from_dense(dense)) == expected
+        for _ in range(2 * k):
+            i, j = rng.sample(range(k), 2)
+            f = rng.choice((-2, -1, 1, 2))
+            if rng.random() < 0.5:
+                dense[i] = [x + f * y for x, y in zip(dense[i], dense[j])]
+            else:
+                for row in dense:
+                    row[i] += f * row[j]
+        assert smith_normal_form(sparse_from_dense(dense)) == expected
 
 
 def test_solve_affine_system():
     a = sparse_from_dense([[1, 1], [1, -1]])
-    sol = solve_affine_system(a, [Fraction(4), Fraction(0)])
-    assert sol.consistent
-    assert sol.forced_coordinate(0) == 2 and sol.forced_coordinate(1) == 2
+    assert solve_affine_system(a, [Fraction(4), Fraction(0)]) == {0: 2, 1: 2}
 
     # underdetermined: x + y = 1 forces nothing
     a = sparse_from_dense([[1, 1]])
-    sol = solve_affine_system(a, [Fraction(1)])
-    assert sol.consistent
-    assert sol.forced_coordinate(0) is None
+    assert solve_affine_system(a, [Fraction(1)]) == {}
 
     # inconsistent
     a = sparse_from_dense([[1, 1], [2, 2]])
-    sol = solve_affine_system(a, [Fraction(1), Fraction(3)])
-    assert not sol.consistent
+    assert solve_affine_system(a, [Fraction(1), Fraction(3)]) is None
