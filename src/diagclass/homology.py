@@ -13,6 +13,7 @@ the alternating sum over vertex deletions.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,18 +38,24 @@ COEFFS = ("gf2", "rational", "integer")
 
 
 def boundary_matrix(sc: SimplicialComplex, d: int) -> SparseMatrix:
-    """d-th boundary map, (d-1)-faces by d-faces; d = 0 is augmentation."""
+    """d-th boundary map, (d-1)-faces by d-faces; d = 0 is augmentation.
+
+    The entries are listed column by column, each face's in the order of
+    the vertex deleted; a face's d + 1 boundary faces are distinct, so no
+    cell repeats.
+    """
+    faces = sc.faces[d]
     if d == 0:
-        return SparseMatrix.from_triples(
-            1, len(sc.faces[0]), ((0, j, 1) for j in range(len(sc.faces[0])))
+        n = len(faces)
+        return SparseMatrix(
+            1, n, array("q", bytes(8 * n)), array("q", range(n)), array("q", [1]) * n
         )
     lower = {face: i for i, face in enumerate(sc.faces[d - 1])}
-    triples = []
-    for j, face in enumerate(sc.faces[d]):
-        for i in range(d + 1):
-            sub = face[:i] + face[i + 1 :]
-            triples.append((lower[sub], j, (-1) ** i))
-    return SparseMatrix.from_triples(len(sc.faces[d - 1]), len(sc.faces[d]), triples)
+    cuts = [(i, i + 1) for i in range(d + 1)]
+    row = array("q", [lower[face[:i] + face[j:]] for face in faces for i, j in cuts])
+    col = array("q", [j for j in range(len(faces)) for _ in cuts])
+    val = array("q", [(-1) ** i for i in range(d + 1)]) * len(faces)
+    return SparseMatrix(len(sc.faces[d - 1]), len(faces), row, col, val)
 
 
 def check_homology_budget(

@@ -3,11 +3,17 @@ form over Z, and exact affine systems.
 
 A `SparseMatrix` holds its entries in coordinate form, as three stdlib
 `array('q')` columns (row, column, value).  There is one rank kernel per
-field, and both are streaming sparse echelons over the rows of the tall
-orientation, grouped by one counting sort: GF(2) ranks reduce Python-int
-bitsets, and ranks over Q are ranks modulo word-size primes, reduced as
-dicts and certified by agreement across primes.  The module uses only
-the standard library.
+field, and both share one contraction step before their echelon.  The
+rows of the tall orientation with at most two entries nonzero mod p
+(p = 2 for GF(2)) are the edges of a graph on the columns and a sink that
+stands for 0; a weighted union-find contracts it, and each link adds one
+to the rank.  The other rows, mapped onto the roots left, go through a
+streaming sparse echelon, grouped by one counting sort: GF(2) ranks
+reduce Python-int bitsets, and ranks over Q are ranks modulo word-size
+primes, reduced as dicts and certified by agreement across primes.  The
+rank is exact, because rank(G + R) = rank(G) + rank(R modulo span G).
+This is the graph step of structured Gaussian elimination (LaMacchia and
+Odlyzko, 1990).  The module uses only the standard library.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 # There is one GF(2) kernel, written in Python; the constant stays for
@@ -139,40 +145,155 @@ def check_rank_budget(
         raise ValueError(f"unknown field {field!r}")
 
 
-def _tall_rows(m: SparseMatrix, p: int, cap: int) -> Iterator[tuple[array, array]]:
-    """The rows of m's tall orientation in order, each as the columns and
-    the residues mod p of its entries that p does not divide.
+def _link_short_rows(
+    work: SparseMatrix, p: int, count: array
+) -> tuple[int, Optional[array], Optional[array]]:
+    """Contract, by weighted union-find over the integers mod a prime p,
+    the rows of `work` with one or two entries that p does not divide
+    (count[r + 1] of them in row r).
 
-    A counting sort groups the entries by row: one pass counts them,
+    The nodes are the columns and a sink, the node `work.cols`, that
+    stands for 0.  Each node c keeps a parent and a weight with
+    e_c = weight[c] * e_parent[c] modulo the rows seen so far.  A row
+    a*e_a + b*e_b whose ends have different roots links one root under
+    the other; if the ends have one root r other than the sink, and the
+    row does not vanish there, it links r to the sink.  A one-entry row
+    is a row whose second end is the sink.  Each link raises the rank by
+    one and leaves one root fewer besides the sink.
+
+    Returns the number of links and, if there are any, each column's
+    root as an index among the roots other than the sink, and its
+    weight relative to that root; a column whose root is the sink gets
+    index 0 and weight 0.  The counts of the short rows are set to 0.
+    """
+    if not (count.count(1) or count.count(2)):
+        return 0, None, None
+    sink = work.cols
+    parent = array("q", range(sink + 1))
+    weight = array("q", [1]) * (sink + 1)
+
+    def find(c: int) -> tuple[int, int]:
+        """c's root and c's weight relative to it, compressing the path."""
+        path = []
+        while parent[c] != c:
+            path.append(c)
+            c = parent[c]
+        f = 1
+        for x in reversed(path):
+            f = f * weight[x] % p
+            weight[x] = f
+            parent[x] = c
+        return c, f
+
+    links = 0
+    for r, a, alpha in zip(work.row, work.col, work.val):
+        k = count[r + 1]
+        if k > 2:
+            continue
+        alpha %= p
+        if not alpha:
+            continue
+        if k == 2:
+            # the first end of a two-entry row waits for the second
+            count[r + 1] = -1 - (a * p + alpha)
+            continue
+        b, beta = divmod(-1 - k, p) if k < 0 else (sink, 1)
+        count[r + 1] = 0
+        ra = parent[a]
+        if parent[ra] == ra:
+            fa = weight[a]
+        else:
+            ra, fa = find(a)
+        rb = parent[b]
+        if parent[rb] == rb:
+            fb = weight[b]
+        else:
+            rb, fb = find(b)
+        if ra != rb:
+            if ra == sink:
+                ra, fa, alpha, rb, fb, beta = rb, fb, beta, ra, fa, alpha
+            parent[ra] = rb
+            weight[ra] = -beta * fb * pow(alpha * fa, -1, p) % p
+            links += 1
+        elif ra != sink and (alpha * fa + beta * fb) % p:
+            parent[ra] = sink
+            links += 1
+    index = array("q", bytes(8 * (sink + 1)))
+    roots = 0
+    for c in range(sink):
+        r = parent[c]
+        if r == c:
+            index[c] = roots
+            roots += 1
+            continue
+        if parent[r] != r:
+            r = find(c)[0]
+        if r == sink:
+            weight[c] = 0
+    return links, array("q", (index[parent[c]] for c in range(sink))), weight
+
+
+def _contract(
+    m: SparseMatrix, p: int, cap: int
+) -> tuple[int, int, Iterator[tuple[array, array]]]:
+    """Contract the short rows of m's tall orientation, those with at most
+    two entries that p does not divide, and map its long rows onto what
+    is left, over the integers mod a prime p.
+
+    The rank of m is the rank of the short rows plus the rank of the long
+    rows modulo their span.  `_link_short_rows` gives the first as a
+    number of links; the second is the rank of the long rows mapped onto
+    the roots other than the sink.  Returns the number of links, the
+    number k of those roots, and the mapped long rows in order, each as
+    columns in range(k) and residues mod p.  An entry whose column
+    contracted to the sink has residue 0 (and column 0), and a column
+    repeats where two entries' columns share a root; its residues then
+    add up.
+
+    A counting sort groups the long rows' entries: one pass counts them,
     `accumulate` gives the row starts, and one pass places them, moving
     each row's start to its end.  Consecutive rows are placed together
     while they hold at most `cap` entries, which must be at least the
     width of a row; each such group costs one pass over the entries.
     """
     work = m if m.cols <= m.rows else m.transpose()
-    starts = array("q", bytes(8 * (work.rows + 1)))
+    count = array("q", bytes(8 * (work.rows + 1)))
     for r, v in zip(work.row, work.val):
         if v % p:
-            starts[r + 1] += 1
-    starts = array("q", accumulate(starts))
-    top = 0
-    while top < work.rows:
-        first, base = top, starts[top]
-        top = bisect_right(starts, base + cap, first + 1) - 1
-        cols = array("i", bytes(4 * (starts[top] - base)))
-        vals = array("i", bytes(4 * (starts[top] - base)))
-        for r, c, v in zip(work.row, work.col, work.val):
-            v %= p
-            if v and first <= r < top:
-                k = starts[r]
-                cols[k - base] = c
-                vals[k - base] = v
-                starts[r] = k + 1
-        start = 0
-        for r in range(first, top):
-            end = starts[r] - base
-            yield cols[start:end], vals[start:end]
-            start = end
+            count[r + 1] += 1
+    links, target, weight = _link_short_rows(work, p, count)
+    long_row = bytearray(map(bool, islice(count, 1, None)))
+    starts = array("q", accumulate(count))
+    del count
+
+    def rows() -> Iterator[tuple[array, array]]:
+        top = 0
+        while starts[top] < starts[-1]:
+            first, base = top, starts[top]
+            top = bisect_right(starts, base + cap, first + 1) - 1
+            placed = bytearray(work.rows)  # the group's long rows
+            placed[first:top] = long_row[first:top]
+            cols = array("i", bytes(4 * (starts[top] - base)))
+            vals = array("i", bytes(4 * (starts[top] - base)))
+            for r, c, v in zip(work.row, work.col, work.val):
+                if placed[r]:
+                    v %= p
+                    if v:
+                        if links:
+                            v = v * weight[c] % p
+                            c = target[c]
+                        k = starts[r]
+                        cols[k - base] = c
+                        vals[k - base] = v
+                        starts[r] = k + 1
+            start = 0
+            for r in range(first, top):
+                end = starts[r] - base
+                if end > start:
+                    yield cols[start:end], vals[start:end]
+                start = end
+
+    return links, work.cols - links, rows()
 
 
 # -- GF(2) ------------------------------------------------------------
@@ -180,27 +301,30 @@ def _tall_rows(m: SparseMatrix, p: int, cap: int) -> Iterator[tuple[array, array
 def rank_gf2(m: SparseMatrix, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
     """Exact rank over the 2-element field.
 
-    Streaming echelon over Python-int bitsets: the rows of the tall
-    orientation are built one at a time from the odd entries, and each is
-    reduced against the pivots found so far, keyed by their highest set
-    bit, until it is zero or becomes a new pivot.  The pivots are at most
-    min(rows, cols) bitsets of min(rows, cols) bits, never more bits than
-    the packed matrix the budget charges.
+    The rows of the tall orientation with at most two odd entries are
+    contracted by union-find, and the other rows, mapped onto the k roots
+    left (`_contract`), go through a streaming echelon over Python-int
+    bitsets: each is reduced against the pivots found so far, keyed by
+    their highest set bit, until it is zero or becomes a new pivot.  The
+    pivots are at most k bitsets of k bits, k <= min(rows, cols), never
+    more bits than the packed matrix the budget charges.
     """
     check_rank_budget(m.rows, m.cols, "gf2", mem_budget)
-    pivots: dict[int, int] = {}
-    for cols, _ in _tall_rows(m, 2, m.nnz):
+    rank, width, rows = _contract(m, 2, m.nnz)
+    pivots = [0] * (width + 1)  # pivots[k]: the pivot whose highest bit is k - 1
+    for cols, vals in rows:
         x = 0
-        for c in cols:
-            x |= 1 << c
+        for c, v in zip(cols, vals):
+            x ^= v << c
         while x:
             key = x.bit_length()
-            p = pivots.get(key)
-            if p is None:
+            y = pivots[key]
+            if not y:
                 pivots[key] = x
+                rank += 1
                 break
-            x ^= p
-    return len(pivots)
+            x ^= y
+    return rank
 
 
 # -- rank over Q ------------------------------------------------------
@@ -213,11 +337,13 @@ _PRIME_POOL = [2097593, 2097211, 2098081, 2097823, 2098481, 2099251]
 def rank_mod_p(m: SparseMatrix, p: int, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
     """Rank of an integer matrix modulo a prime p < 2^31.
 
-    Streaming sparse echelon, built like `rank_gf2`: each row of the tall
-    orientation is held as a dict {column: residue} and reduced against
-    the pivots found so far, keyed by their highest column, until it is
-    zero or becomes a new pivot.  A pivot is normalised to a leading 1,
-    which its key implies, and negated, so that reducing by it is an
+    Built like `rank_gf2`: the rows of the tall orientation with at most
+    two entries that p does not divide are contracted by weighted
+    union-find, and each other row, mapped onto the k roots left
+    (`_contract`), is held as a dict {column: residue} and reduced
+    against the pivots found so far, keyed by their highest column, until
+    it is zero or becomes a new pivot.  A pivot is normalised to a leading
+    1, which its key implies, and negated, so that reducing by it is an
     addition; its other entries are stored as two `array('i')`, columns
     and residues, at 8 bytes an entry.  The peak stays under
     `rational_rank_bytes` for a matrix with at most max(rows, cols)
@@ -225,13 +351,18 @@ def rank_mod_p(m: SparseMatrix, p: int, mem_budget: int = DEFAULT_MEM_BUDGET) ->
     in as few passes as the budget left over allows.
     """
     check_rank_budget(m.rows, m.cols, "rational", mem_budget)
-    short, tall = min(m.rows, m.cols), max(m.rows, m.cols)
     spare = mem_budget - rational_rank_bytes(m.rows, m.cols)
-    pivot_cols: list[Optional[array]] = [None] * short
-    pivot_vals: list[Optional[array]] = [None] * short
-    rank = 0
-    for cols, vals in _tall_rows(m, p, tall + spare // 8):
+    rank, width, rows = _contract(m, p, max(m.rows, m.cols) + spare // 8)
+    pivot_cols: list[Optional[array]] = [None] * width
+    pivot_vals: list[Optional[array]] = [None] * width
+    for cols, vals in rows:
         x = dict(zip(cols, vals))
+        if len(x) < len(cols) or not all(x.values()):
+            # a column repeats or a residue is 0: add up, drop the zeros
+            x = {}
+            for c, v in zip(cols, vals):
+                x[c] = (x.get(c, 0) + v) % p
+            x = {c: v for c, v in x.items() if v}
         get = x.get
         while x:
             key = max(x)

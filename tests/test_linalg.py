@@ -80,6 +80,24 @@ def fraction_rank(rows):
     return rank
 
 
+def mod_p_rank(rows, p):
+    """Independent oracle: dense Gaussian elimination modulo a prime p."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        for i in range(rank + 1, len(m)):
+            if m[i][c]:
+                f = m[i][c] * inv % p
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
 def minor_gcd_divisors(rows):
     """Independent Smith-form oracle: d_k = gcd of all k x k minors."""
 
@@ -210,30 +228,130 @@ def suite_matrices():
     }
 
 
+# the GF(2) ranks of `suite_matrices`, as the bit-packed numpy elimination
+# gave them before the streaming kernel
+SUITE_GF2_RANKS = {
+    "sun3 L_0": 719,
+    "sun3 L_1": 4309,
+    "sun3 L_2": 15040,
+    "net L_2": 14833,
+    "net L_3": 38572,
+    "C5 skeleton d_2": 6002,
+    "C5 skeleton d_3": 7192,
+}
+
+
 def test_rank_gf2_suite_matrices(suite_matrices):
-    # the ranks the bit-packed numpy elimination gave before this kernel
-    expected = {
-        "sun3 L_0": 719,
-        "sun3 L_1": 4309,
-        "sun3 L_2": 15040,
-        "net L_2": 14833,
-        "net L_3": 38572,
-        "C5 skeleton d_2": 6002,
-        "C5 skeleton d_3": 7192,
-    }
-    assert {name: rank_gf2(m) for name, m in suite_matrices.items()} == expected
+    assert {name: rank_gf2(m) for name, m in suite_matrices.items()} == SUITE_GF2_RANKS
 
 
 def test_rank_gf2_peak_memory_within_charge(suite_matrices):
-    m = suite_matrices["sun3 L_2"]
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        assert rank_gf2(m) == 15040
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < gf2_packed_bytes(m.rows, m.cols)
+    for name, m in suite_matrices.items():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert rank_gf2(m) == SUITE_GF2_RANKS[name]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < gf2_packed_bytes(m.rows, m.cols), name
+
+
+def test_contraction_leaves_few_rows_and_columns(suite_matrices):
+    """sun3's L_2 keeps a third of its rows, over 756 of 15,120 columns,
+    after its two-entry rows are contracted; the C5 skeleton's d_2 has no
+    short row, so nothing is contracted."""
+    for name, p, links, width, long_rows in (
+        ("sun3 L_2", 2, 14364, 756, 16200),
+        ("sun3 L_2", PRIME, 14364, 756, 16200),
+        ("C5 skeleton d_2", 2, 0, 6750, 13200),
+    ):
+        m = suite_matrices[name]
+        got, k, rows = linalg._contract(m, p, m.nnz)
+        assert (got, k, sum(1 for _ in rows)) == (links, width, long_rows), name
+
+
+def short_row_matrix(rng, rows, cols):
+    """Dense rows, most with one or two entries, the coefficients drawn from
+    +-1, +-2, 3, 5 and 7 (so an entry can vanish mod 2, 3, 5 or 7)."""
+    dense = []
+    for _ in range(rows):
+        row = [0] * cols
+        for j in rng.sample(range(cols), min(cols, rng.choice((1, 2, 2, 2, 3, 4)))):
+            row[j] = rng.choice((1, -1, 2, -2, 3, 5, 7))
+        dense.append(row)
+    return dense
+
+
+def test_contraction_against_oracles():
+    rng = random.Random(13)
+    for _ in range(300):
+        cols = rng.randint(1, 9)
+        # at least as many rows as columns: these rows are contracted
+        dense = short_row_matrix(rng, rng.randint(cols, 16), cols)
+        m = sparse_from_dense(dense)
+        assert rank_gf2(m) == bitset_rank_gf2(dense), dense
+        for p in (3, 5, 7, PRIME):
+            assert rank_mod_p(m, p) == mod_p_rank(dense, p), (p, dense)
+        assert rank_rational(m) == fraction_rank(dense), dense
+
+
+def test_contraction_odd_cycle():
+    # e_a + e_b, e_b + e_c, e_a + e_c close an odd cycle: rank 3 over Q
+    # and mod 3, but over GF(2) the third row is the sum of the others
+    m = sparse_from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    assert (rank_rational(m), rank_mod_p(m, 3), rank_gf2(m)) == (3, 3, 2)
+    # with differences the cycle closes to 0 in every field
+    m = sparse_from_dense([[1, -1, 0], [0, 1, -1], [1, 0, -1]])
+    assert (rank_rational(m), rank_mod_p(m, 3), rank_gf2(m)) == (2, 2, 2)
+
+
+def test_contraction_row_vanishing_mod_p():
+    # mod 3 the first row vanishes and the second has one entry left
+    m = sparse_from_dense([[3, 6, 0], [1, 3, 0], [0, 1, 1]])
+    assert rank_mod_p(m, 3) == 2
+    assert (rank_rational(m), rank_mod_p(m, 5), rank_gf2(m)) == (3, 3, 3)
+    # mod 2 a two-entry row of even entries vanishes
+    m = sparse_from_dense([[2, 4, 0], [1, 1, 0], [0, 0, 1]])
+    assert (rank_gf2(m), rank_rational(m)) == (2, 3)
+
+
+def test_contraction_maps_a_long_row_to_zero():
+    # the short rows give e_0 = e_1 and e_2 = e_3 ...
+    shared_roots = [[1, -1, 0, 0], [0, 0, 1, -1], [1, -1, 1, -1], [0, 0, 0, 0]]
+    # ... or e_0 = e_1 = 0 and e_2 = e_3
+    sink = [[1, 0, 0, 0], [1, -1, 0, 0], [0, 0, 1, -1], [1, 1, 1, -1]]
+    for dense, links, width in ((shared_roots, 2, 2), (sink, 3, 1)):
+        m = sparse_from_dense(dense)
+        for p in (2, 3, PRIME):
+            got, k, rows = linalg._contract(m, p, m.nnz)
+            assert (got, k) == (links, width)
+            [(cols, vals)] = list(rows)
+            assert len(cols) == 4
+            # the long row's residues add up to 0 on every root
+            assert all(
+                sum(v for c, v in zip(cols, vals) if c == root) % p == 0
+                for root in range(k)
+            )
+            assert rank_mod_p(m, p) == links
+        assert (rank_gf2(m), rank_rational(m)) == (links, links)
+
+
+def test_contraction_on_small_moment_graph_kernels():
+    """L_0..L_2 of every connected pattern with n <= 4, whose rows with no
+    x_p have two entries each, against the dense oracles."""
+    checked = 0
+    for n in range(2, 5):
+        for g in connected_graphs_up_to_iso(n):
+            gg = build_gkm_graph(g)
+            for i in range(3):
+                m = kernel_matrix(gg, i)
+                dense = m.to_dense()
+                assert rank_gf2(m) == bitset_rank_gf2(dense)
+                for p in (3, PRIME):
+                    assert rank_mod_p(m, p) == mod_p_rank(dense, p)
+                checked += 1
+    assert checked == 27
 
 
 def test_rank_mod_p_against_fraction_oracle():
