@@ -12,7 +12,6 @@ computed Betti number - that contradiction is a formality obstruction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -107,6 +106,7 @@ def inter_polynomial(g: Graph) -> Polynomial:
 class ConsistencyResult:
     consistent: bool
     forced_b2: Optional[Fraction]
+    beta2: int
     beta4: int
     system_infeasible: bool = False
 
@@ -115,6 +115,9 @@ class ConsistencyResult:
             return "linear system infeasible before substitutions"
         if self.consistent:
             return "consistent"
+        if self.forced_b2 is None:
+            # nothing was forced: the substitution b1 = beta2 itself clashes
+            return f"substitution b1 = {self.beta2} is inconsistent with the orbit-space identity"
         return f"forced b2 = {self.forced_b2} contradicts beta4 = {self.beta4}"
 
 
@@ -167,11 +170,11 @@ def abfp_consistency_test(g: Graph, beta2: int, beta4: int) -> ConsistencyResult
             [t for t in triples if t[0] < subst_start],
         )
         infeasible = solve_affine_system(raw, rhs[:subst_start]) is None
-        return ConsistencyResult(False, None, beta4, system_infeasible=infeasible)
+        return ConsistencyResult(False, None, beta2, beta4, system_infeasible=infeasible)
     forced = forced_values.get(2)
     if forced is not None and forced != beta4:
-        return ConsistencyResult(False, forced, beta4)
-    return ConsistencyResult(True, forced, beta4)
+        return ConsistencyResult(False, forced, beta2, beta4)
+    return ConsistencyResult(True, forced, beta2, beta4)
 
 
 @dataclass(frozen=True)
@@ -182,7 +185,8 @@ class FormalityVerdict:
     witness: Optional[ForbiddenWitness] = None
     evidence: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The verdict as the CLI prints it, its sequences as lists."""
         payload = {
             "n": self.graph.n,
             "edges": [list(e) for e in self.graph.sorted_edges()],
@@ -198,8 +202,8 @@ class FormalityVerdict:
                 "kind": self.witness.describe(),
                 "vertices": sorted(self.witness.vertices),
             }
-        payload["evidence"] = self.evidence
-        return json.dumps(payload)
+        payload["evidence"] = dict(self.evidence)
+        return payload
 
 
 def _skeleton_homology_evidence(wg: Graph, mem_budget: int) -> Optional[dict]:
@@ -271,11 +275,13 @@ def formality_report(
     smallest forbidden witness, or undetermined if every strategy exceeds
     the budget.
 
-    Strategies run cheapest-first.  The skeleton-homology obstruction is
-    attempted only for claw and cycle witnesses, where the rank-2 skeleton
-    carries nonzero H1; the rank-2 skeleta of the net and the 3-sun have
-    no H1 over GF(2), so only the moment-graph and orbit-space strategies
-    are tried there.
+    The strategies run in an order fixed per witness kind, not by cost:
+    skeleton homology, then the moment-graph total Betti number, then the
+    orbit-space test (the total runs first on the net too, where it is the
+    slower).  The skeleton-homology obstruction is attempted only for claw
+    and cycle witnesses, where the rank-2 skeleton carries nonzero H1; the
+    rank-2 skeleta of the net and the 3-sun have no H1 over GF(2), so only
+    the moment-graph and orbit-space strategies are tried there.
     """
     if not g.is_connected():
         raise GraphInputError("formality verdict requires a connected graph")

@@ -55,18 +55,23 @@ def _content_hash(text: str) -> str:
 
 
 def _budget(mem_budget: int | None) -> int:
-    """--mem-budget, else $DIAGCLASS_MEM_BUDGET, else the library default."""
-    if mem_budget is not None:
-        return mem_budget
-    raw = os.environ.get(BUDGET_ENV)
-    if not raw:
-        return DEFAULT_MEM_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise GraphInputError(
-            f"${BUDGET_ENV} must be a whole number of bytes, got {raw!r}"
-        ) from None
+    """--mem-budget, else $DIAGCLASS_MEM_BUDGET, else the library default;
+    a negative budget is an input error."""
+    source = "--mem-budget"
+    if mem_budget is None:
+        raw = os.environ.get(BUDGET_ENV)
+        if not raw:
+            return DEFAULT_MEM_BUDGET
+        source = f"${BUDGET_ENV}"
+        try:
+            mem_budget = int(raw)
+        except ValueError:
+            raise GraphInputError(
+                f"{source} must be a whole number of bytes, got {raw!r}"
+            ) from None
+    if mem_budget < 0:
+        raise GraphInputError(f"{source} must be a nonnegative number of bytes, got {mem_budget}")
+    return mem_budget
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -127,7 +132,7 @@ def formality(source: str, mem_budget: int | None, fmt: str) -> int:
     budget = _budget(mem_budget)
     g, text = _read_graph(source)
     verdict = formality_report(g, mem_budget=budget)
-    report = json.loads(verdict.to_json())
+    report = verdict.to_dict()
     report["config"] = _config_stamp(text, mem_budget=budget)
     _emit(report, fmt)
     return EXIT_BUDGET if verdict.verdict == "undetermined" else 0
@@ -169,7 +174,7 @@ def clusterperm(source: str, poset: str, skeleton_rank: int | None, coeff: str,
     budget = _budget(mem_budget)
     g, text = _read_graph(source)
     report = poset_homology(g, poset, skeleton_rank, _COEFFS[coeff], budget)
-    report["config"] = _config_stamp(text, coeff=coeff)
+    report["config"] = _config_stamp(text, coeff=coeff, mem_budget=budget)
     _emit(report, fmt)
 
 
@@ -184,7 +189,7 @@ def gkm(source: str, field: str, mem_budget: int | None, fmt: str) -> int:
     budget = _budget(mem_budget)
     g, text = _read_graph(source)
     rep = gkm_total_betti(g, field=_COEFFS[field], mem_budget=budget)
-    report = json.loads(rep.to_json())
+    report = rep.to_dict()
     report["config"] = _config_stamp(text, field=field, mem_budget=budget)
     _emit(report, fmt)
     return EXIT_BUDGET if rep.undetermined else 0

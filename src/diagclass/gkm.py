@@ -16,9 +16,7 @@ broken Poincare palindrome are red flags, not Betti numbers).
 
 from __future__ import annotations
 
-import json
 import math
-import random
 from array import array
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
@@ -55,21 +53,6 @@ class GkmGraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.num_vertices
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def reoriented(self, rng: random.Random) -> "GkmGraph":
-        """Random flip of edge orientations (kernel dims must not change)."""
-        flipped = tuple(
-            (v, u, pq) if rng.random() < 0.5 else (u, v, pq)
-            for u, v, pq in self.edges
-        )
-        return GkmGraph(self.n, self.perms, flipped)
 
     def to_dot(self) -> str:
         lines = ["graph gkm {"]
@@ -256,28 +239,27 @@ class GkmBettiReport:
     def undetermined(self) -> bool:
         return self.total is None and self.reference_total is None
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.graph.n,
-                "edges": [list(e) for e in self.graph.sorted_edges()],
-                "field": self.field,
-                "equivariant_dims": list(self.equivariant),
-                "ordinary_low_degrees": list(self.ordinary_low),
-                "poincare_coefficients": (
-                    list(self.poincare) if self.poincare is not None else None
-                ),
-                "total": self.total,
-                "negative_coefficient": self.negative_coefficient,
-                "duality_violation": self.duality_violation,
-                "reference_vector": (
-                    list(self.reference_vector)
-                    if self.reference_vector is not None
-                    else None
-                ),
-                "reference_total": self.reference_total,
-            }
-        )
+    def to_dict(self) -> dict:
+        """The report as the CLI prints it, its sequences as lists."""
+        return {
+            "n": self.graph.n,
+            "edges": [list(e) for e in self.graph.sorted_edges()],
+            "field": self.field,
+            "equivariant_dims": list(self.equivariant),
+            "ordinary_low_degrees": list(self.ordinary_low),
+            "poincare_coefficients": (
+                list(self.poincare) if self.poincare is not None else None
+            ),
+            "total": self.total,
+            "negative_coefficient": self.negative_coefficient,
+            "duality_violation": self.duality_violation,
+            "reference_vector": (
+                list(self.reference_vector)
+                if self.reference_vector is not None
+                else None
+            ),
+            "reference_total": self.reference_total,
+        }
 
 
 def gkm_total_betti(

@@ -10,7 +10,6 @@ the 3-sun).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
@@ -91,16 +90,6 @@ class Graph:
     def is_connected(self) -> bool:
         return len(self.components()) == 1
 
-    # -- serialization -------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "edges": [list(e) for e in self.sorted_edges()]})
-
-    def to_text(self) -> str:
-        lines = [f"{self.n} {self.num_edges}"]
-        lines += [f"{i} {j}" for i, j in self.sorted_edges()]
-        return "\n".join(lines) + "\n"
-
 
 def make_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Build a canonical graph; duplicate pairs collapse, loops are errors."""
@@ -164,31 +153,6 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> Graph:
     return make_graph(len(vlist), edges)
 
 
-def girth(g: Graph):
-    """Length of the shortest cycle; math.inf for forests."""
-    adj = g._adjacency
-    best = math.inf
-    # BFS from each vertex; a non-tree edge at depths d1, d2 closes a cycle
-    for s in g.vertices():
-        dist = {s: 0}
-        parent = {s: 0}
-        queue = [s]
-        while queue:
-            nxt = []
-            for u in queue:
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif w != parent[u]:
-                        cyc = dist[u] + dist[w] + 1
-                        if cyc < best:
-                            best = cyc
-            queue = nxt
-    return best
-
-
 # -- forbidden induced subgraphs --------------------------------------
 
 @dataclass(frozen=True)
@@ -201,9 +165,6 @@ class ForbiddenWitness:
         if self.kind == "cycle":
             return f"Cycle({self.length})"
         return {"claw": "Claw", "net": "Net", "sun3": "Sun3"}[self.kind]
-
-    def model_graph(self) -> Graph:
-        return named_graph(self.kind, self.length)
 
 
 def _claw(g: Graph) -> Optional[tuple[int, ...]]:
@@ -315,13 +276,6 @@ def find_forbidden_induced(g: Graph) -> Optional[ForbiddenWitness]:
     if witness is None and hole is not None:
         witness = ForbiddenWitness("cycle", len(hole), tuple(sorted(hole)))
     return witness
-
-
-def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Relabel vertex v to perm[v-1]."""
-    if sorted(perm) != list(g.vertices()):
-        raise GraphInputError("relabelling is not a permutation of the vertices")
-    return make_graph(g.n, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
 
 
 def _min_relabellings(masks: list[int], k: int) -> list[int]:

@@ -54,14 +54,6 @@ class HessenbergFunction:
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.h)
 
-    @classmethod
-    def parse(cls, text: str) -> "HessenbergFunction":
-        try:
-            values = tuple(int(x) for x in text.split(","))
-        except ValueError as exc:
-            raise GraphInputError(f"bad Hessenberg function text {text!r}") from exc
-        return cls(values)
-
 
 def connected_hessenberg_functions(n: int) -> list[HessenbergFunction]:
     """Every connected Hessenberg function on n positions (i < h(i) for

@@ -132,9 +132,6 @@ class Polynomial:
             k >>= 1
         return result
 
-    def is_palindromic(self) -> bool:
-        return self.coeffs == self.coeffs[::-1]
-
 
 class InexactDivisionError(ArithmeticError):
     """Polynomial division left a nonzero remainder."""

@@ -85,13 +85,6 @@ class GradedPoset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def max_rank(self) -> int:
-        return max(self.rank) if self.rank else 0
-
-    def elements_of_rank(self, r: int) -> list[int]:
-        return [i for i, rk in enumerate(self.rank) if rk == r]
-
     def children(self) -> list[list[int]]:
         ch: list[list[int]] = [[] for _ in self.labels]
         for lo, hi in self.covers:
@@ -113,20 +106,6 @@ class GradedPoset:
     def strict_downsets(self) -> list[int]:
         """Bitset (python int) of all elements strictly below each element."""
         return self._below
-
-    def leq(self, i: int, j: int) -> bool:
-        return i == j or bool(self.strict_downsets()[j] >> i & 1)
-
-    def minimal_elements(self) -> list[int]:
-        uppers = {hi for _, hi in self.covers}
-        return [i for i in range(len(self.labels)) if i not in uppers]
-
-    def validate(self, strict: bool = True) -> None:
-        for lo, hi in self.covers:
-            if strict and self.rank[lo] >= self.rank[hi]:
-                raise ValueError(f"cover {lo}->{hi} does not increase rank")
-            if lo >= hi:
-                raise ValueError("element order is not a linear extension")
 
     # -- exports -------------------------------------------------------
 

@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -110,6 +109,7 @@ def test_consistency_sun3_contradiction():
     assert not res.consistent
     assert res.forced_b2 == Fraction(20)
     assert not res.system_infeasible
+    assert res.describe() == "forced b2 = 20 contradicts beta4 = 29"
 
 
 def test_formality_formal_patterns():
@@ -126,7 +126,7 @@ def test_formality_claw_skeleton_evidence():
     assert rep.witness.kind == "claw"
     assert rep.evidence["kind"] == "skeleton_homology"
     assert rep.evidence["h1"] == 2
-    payload = json.loads(rep.to_json())
+    payload = rep.to_dict()
     assert payload["verdict"] == "nonformal"
     assert payload["witness"]["vertices"] == [1, 2, 3, 4]
 
@@ -156,6 +156,21 @@ def test_formality_sun3_abfp_evidence():
     assert rep.evidence["beta2"] == 5
     assert rep.evidence["beta4"] == 29
     assert rep.evidence["forced_b2"] == "20"
+    assert rep.evidence["detail"] == "forced b2 = 20 contradicts beta4 = 29"
+
+
+def test_formality_net_orbit_space_evidence():
+    # this budget refuses the total-Betti strategy, so the orbit space
+    # decides; nothing is forced there, and the detail names the clash b1 = 20
+    rep = formality_report(named_graph("net"), mem_budget=100_000_000)
+    assert rep.verdict == "nonformal"
+    assert rep.evidence == {
+        "kind": "abfp_inconsistency",
+        "beta2": 20,
+        "beta4": 146,
+        "forced_b2": "None",
+        "detail": "substitution b1 = 20 is inconsistent with the orbit-space identity",
+    }
 
 
 def test_formality_undetermined_under_tiny_budget(monkeypatch):

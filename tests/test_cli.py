@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import importlib
@@ -199,6 +200,23 @@ def test_invalid_budget_env_is_input_error(runner, monkeypatch):
     assert res.stderr.startswith(f"input error: ${BUDGET_ENV}")
 
 
+@pytest.mark.parametrize("args, stdin", [
+    (["formality", "-"], CLAW),
+    (["gkm", "-"], CLAW),
+    (["clusterperm", "-", "--coeff", "z"], CLAW),
+], ids=["formality", "gkm", "clusterperm"])
+def test_negative_budget_is_input_error(runner, monkeypatch, args, stdin):
+    res = runner.invoke(main, args + ["--mem-budget", "-5"], input=stdin)
+    assert (res.exit_code, res.stdout) == (EXIT_INPUT, "")
+    assert res.stderr == "input error: --mem-budget must be a nonnegative number of bytes, got -5\n"
+    monkeypatch.setenv(BUDGET_ENV, "-5")
+    res = runner.invoke(main, args, input=stdin)
+    assert (res.exit_code, res.stdout) == (EXIT_INPUT, "")
+    assert res.stderr == (
+        f"input error: ${BUDGET_ENV} must be a nonnegative number of bytes, got -5\n"
+    )
+
+
 def test_formality_rank_certification_error_exits_budget(runner, monkeypatch):
     def disagree(g, mem_budget):
         raise RankCertificationError("modular ranks disagree: [3, 4, 4]")
@@ -225,7 +243,7 @@ def test_batch_hessenberg_rows_are_the_indifference_classes(runner):
     assert res.exit_code == 0
     keys: dict[int, list] = {}
     for n, edges, h_text, _, _ in list(csv.reader(res.output.splitlines()))[1:]:
-        h = HessenbergFunction.parse(h_text)
+        h = HessenbergFunction(tuple(map(int, h_text.split(","))))
         g = hessenberg_to_graph(h)
         assert edges == ";".join(f"{i}-{j}" for i, j in g.sorted_edges())
         keys.setdefault(int(n), []).append(staircase_key(h))
@@ -248,6 +266,7 @@ def test_clusterperm_rational(runner):
     out = json.loads(res.output)
     assert out["betti"] == [0, 1]
     assert out["elements"] == 12
+    assert out["config"]["mem_budget"] == 2 * 1024**3
 
 
 def test_clusterperm_integral_claw(runner):
@@ -398,3 +417,56 @@ def test_benchmark_tracer_boundaries_resolve():
             fn = getattr(module, name, None)
             assert inspect.isfunction(fn), f"{modname}.{name}"
             assert fn.__module__ == module.__name__, f"{modname}.{name}"
+
+
+def test_package_root_holds_only_the_version():
+    # every other public name is imported from its layer module
+    assert diagclass.__version__
+    stray = sorted(name for name, value in vars(diagclass).items()
+                   if not name.startswith("_") and not inspect.ismodule(value))
+    assert stray == []
+
+
+# public names only the tests call, kept as the references they check against
+_REFERENCE_ONLY = {"hessenberg.inv_h", "hessenberg.IndifferenceCertificate.validates",
+                   "linalg.SparseMatrix.to_dense"}
+
+
+def test_every_public_function_has_a_caller():
+    """Each public module-level function and class, and each public method,
+    of the package is named somewhere else in it, is a CLI command, or is a
+    benchmark boundary; a method counts only as an attribute."""
+    package = Path(diagclass.__file__).resolve().parent
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in package.glob("*.py")}
+    layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    boundaries = runpy.run_path(str(layers))["BOUNDARIES"]
+    commands = {fn.__name__ for fn, _ in cli._COMMANDS.values()}
+    refs = []  # (module, line, name, is an attribute)
+    for modname, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.alias)):
+                name = node.id if isinstance(node, ast.Name) else node.name
+                refs.append((modname, node.lineno, name, False))
+            elif isinstance(node, ast.Attribute):
+                refs.append((modname, node.lineno, node.attr, True))
+    defs = []  # (module, qualified name, node, is a method)
+    for modname, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                defs.append((modname, node.name, node, False))
+                methods = node.body if isinstance(node, ast.ClassDef) else []
+                defs += [(modname, f"{node.name}.{m.name}", m, True) for m in methods
+                         if isinstance(m, ast.FunctionDef) and m.name[0] != "_"]
+    assert _REFERENCE_ONLY <= {f"{m}.{q}" for m, q, _, _ in defs}
+    uncalled = []
+    for modname, qualname, node, method in defs:
+        if (f"{modname}.{qualname}" in _REFERENCE_ONLY
+                or node.name in boundaries.get(modname, ())
+                or (modname == "cli" and node.name in commands)):
+            continue
+        own = range(node.lineno, node.end_lineno + 1)
+        if not any(name == node.name and (attr or not method)
+                   and not (m == modname and line in own)
+                   for m, line, name, attr in refs):
+            uncalled.append(f"{modname}.{qualname}")
+    assert uncalled == []

@@ -28,11 +28,6 @@ def test_getitem_out_of_range_is_zero():
     assert p[0] == 5 and p[1] == 7 and p[9] == 0
 
 
-def test_palindromic():
-    assert Polynomial([1, 2, 2, 1]).is_palindromic()
-    assert not Polynomial([1, 2, 3]).is_palindromic()
-
-
 def test_exact_division():
     t1 = Polynomial([-1, 1])
     prod = Polynomial([4, 1]) * t1**2
