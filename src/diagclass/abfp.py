@@ -184,6 +184,9 @@ class FormalityVerdict:
     certificate: Optional[IndifferenceCertificate] = None
     witness: Optional[ForbiddenWitness] = None
     evidence: dict = field(default_factory=dict)
+    # {"strategy": evidence kind, "refused": the budget's sentence} for each
+    # strategy the budget refused, in order; printed for an undetermined verdict
+    attempts: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         """The verdict as the CLI prints it, its sequences as lists."""
@@ -203,6 +206,8 @@ class FormalityVerdict:
                 "vertices": sorted(self.witness.vertices),
             }
         payload["evidence"] = dict(self.evidence)
+        if self.verdict == "undetermined":
+            payload["attempts"] = [dict(a) for a in self.attempts]
         return payload
 
 
@@ -289,41 +294,45 @@ def formality_report(
     if isinstance(result, IndifferenceCertificate):
         return FormalityVerdict(g, "formal", certificate=result)
     witness = result
-    evidence = _witness_evidence(witness.kind, witness.length, mem_budget)
+    evidence, attempts = _witness_evidence(witness.kind, witness.length, mem_budget)
     if evidence is None:
-        return FormalityVerdict(g, "undetermined", witness=witness)
+        return FormalityVerdict(g, "undetermined", witness=witness, attempts=attempts)
     return FormalityVerdict(g, "nonformal", witness=witness, evidence=evidence)
 
 
 @lru_cache(maxsize=1024)
-def _witness_evidence(kind: str, length: Optional[int], mem_budget: int) -> Optional[dict]:
+def _witness_evidence(
+    kind: str, length: Optional[int], mem_budget: int
+) -> tuple[Optional[dict], list[dict]]:
     """Evidence computed on the model graph of a witness shape, or None when
-    every strategy exceeds the budget.  Every evidence field is an
-    isomorphism invariant of the witness, so the shape and the budget
-    determine it.
+    every strategy exceeds the budget, with the refusals met on the way.
+    Every evidence field is an isomorphism invariant of the witness, so the
+    shape and the budget determine it.
 
     The strategies are looked up when this runs, not when the module is
     imported, so a rebinding of their names is seen.
     """
     wg = named_graph(kind, length)
-    skeleton, total, orbit = _skeleton_homology_evidence, _total_betti_evidence, _abfp_evidence
+    skeleton = ("skeleton_homology", _skeleton_homology_evidence)
+    total = ("total_betti_mismatch", _total_betti_evidence)
+    orbit = ("abfp_inconsistency", _abfp_evidence)
     strategies = {
         "claw": (skeleton, total, orbit),
         "cycle": (skeleton, total, orbit),
         "net": (total, orbit),
         "sun3": (total, orbit),
     }[kind]
-    budget_hit = False
-    for strategy in strategies:
+    attempts = []
+    for name, strategy in strategies:
         try:
             evidence = strategy(wg, mem_budget)
-        except ComputationBudgetError:
-            budget_hit = True
+        except ComputationBudgetError as exc:
+            attempts.append({"strategy": name, "refused": str(exc)})
             continue
         if evidence is not None:
-            return evidence
-    if budget_hit:
-        return None
+            return evidence, attempts
+    if attempts:
+        return None, attempts
     raise AssertionError(
         "forbidden witness present but no obstruction found"
     )  # pragma: no cover

@@ -24,17 +24,13 @@ from typing import Optional
 
 from .graphs import Graph, GraphInputError
 from .linalg import (
-    ComputationBudgetError,
     DEFAULT_MEM_BUDGET,
     SparseMatrix,
-    gf2_packed_bytes,
+    check_rank_budget,
     rank_gf2,
     rank_rational,
-    rational_rank_bytes,
 )
 from .polynomials import Polynomial, series_expand_product
-
-FIELDS = ("gf2", "rational")
 
 
 @dataclass(frozen=True)
@@ -96,6 +92,9 @@ def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def num_monomials(nvars: int, degree: int) -> int:
+    """len(monomials(nvars, degree)); no variables give 1 of degree 0."""
+    if nvars == 0:
+        return int(degree == 0)
     return math.comb(nvars + degree - 1, degree)
 
 
@@ -144,15 +143,12 @@ def equivariant_betti(
     field: str = "gf2",
     mem_budget: int = DEFAULT_MEM_BUDGET,
 ) -> int:
-    """dim of the degree-`degree` equivariant cohomology = dim ker L_degree."""
+    """dim of the degree-`degree` equivariant cohomology = dim ker L_degree,
+    over field "gf2" or "rational"."""
     m = kernel_matrix(gg, degree)
-    if field == "gf2":
-        rank = rank_gf2(m, mem_budget=mem_budget)
-    elif field == "rational":
-        rank = rank_rational(m, mem_budget=mem_budget)
-    else:
-        raise ValueError(f"field must be one of {FIELDS}")
-    return m.cols - rank
+    check_rank_budget(m.rows, m.cols, field, mem_budget, f"L_{degree}")
+    rank = rank_gf2 if field == "gf2" else rank_rational
+    return m.cols - rank(m, mem_budget=mem_budget)
 
 
 def equivariant_betti_series(
@@ -188,27 +184,12 @@ def kernel_matrix_shape(n: int, pattern_edges: int, degree: int) -> tuple[int, i
     return rows, cols
 
 
-# field -> (bytes the rank kernel is charged for a shape, how they are held)
-_KERNEL_CHARGE = {
-    "gf2": (gf2_packed_bytes, "packed"),
-    "rational": (rational_rank_bytes, "for its rank over Q"),
-}
-
-
 def check_kernel_budget(g: Graph, max_degree: int, field: str, mem_budget: int) -> None:
     """Refuse, before the n! moment graph is built, if the rank over `field`
     of any of L_0..L_max_degree would be charged more than the budget."""
-    if field not in _KERNEL_CHARGE:
-        raise ValueError(f"field must be one of {FIELDS}")
-    charge, held = _KERNEL_CHARGE[field]
     for i in range(max_degree + 1):
         rows, cols = kernel_matrix_shape(g.n, g.num_edges, i)
-        need = charge(rows, cols)
-        if need > mem_budget:
-            raise ComputationBudgetError(
-                f"L_{i} needs a {rows}x{cols} matrix "
-                f"({need} bytes {held}), budget {mem_budget}"
-            )
+        check_rank_budget(rows, cols, field, mem_budget, f"L_{i}")
 
 
 def known_betti_vector(g: Graph) -> Optional[tuple[int, ...]]:

@@ -67,28 +67,21 @@ class Graph:
 
     # -- connectivity --------------------------------------------------
 
-    def components(self) -> list[frozenset[int]]:
-        adj = self._adjacency
-        seen: set[int] = set()
-        comps = []
-        for v in self.vertices():
-            if v in seen:
-                continue
-            stack = [v]
-            comp = {v}
-            seen.add(v)
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(frozenset(comp))
-        return comps
-
     def is_connected(self) -> bool:
-        return len(self.components()) == 1
+        """A search from vertex 1 reaches every vertex.  Fewer than n - 1
+        edges cannot connect n vertices, so such a pattern is refused before
+        anything of size n is built."""
+        if self.num_edges < self.n - 1:
+            return False
+        adj = self._adjacency
+        seen = {1}
+        stack = [1]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == self.n
 
 
 def make_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
@@ -383,15 +376,28 @@ def parse_graph_text(text: str) -> Graph:
     return make_graph(n, edges)
 
 
+def _whole(x) -> bool:
+    """A JSON integer: not a boolean, a float or a string."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_graph_json(text: str) -> Graph:
-    """Format: {"n": int, "edges": [[i, j], ...]}."""
+    """Format: {"n": int, "edges": [[i, j], ...]}, every number an integer."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphInputError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise GraphInputError('graph JSON must have keys "n" and "edges"')
-    return make_graph(int(data["n"]), data["edges"])
+    n, edges = data["n"], data["edges"]
+    if not _whole(n):
+        raise GraphInputError(f'"n" must be an integer, got {json.dumps(n)}')
+    if not isinstance(edges, list):
+        raise GraphInputError(f'"edges" must be a list of pairs, got {json.dumps(edges)}')
+    for pair in edges:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_whole, pair))):
+            raise GraphInputError(f"edge {json.dumps(pair)} is not a pair of integers")
+    return make_graph(n, edges)
 
 
 def parse_graph(text: str) -> Graph:

@@ -34,8 +34,6 @@ from .posets import (
     skeleton_face_counts,
 )
 
-COEFFS = ("gf2", "rational", "integer")
-
 
 def boundary_matrix(sc: SimplicialComplex, d: int) -> SparseMatrix:
     """d-th boundary map, (d-1)-faces by d-faces; d = 0 is augmentation.
@@ -62,10 +60,10 @@ def check_homology_budget(
     face_counts: list[int], coeff: str, mem_budget: int = DEFAULT_MEM_BUDGET
 ) -> None:
     """Refuse, from the face counts alone, a complex one of whose boundary
-    maps `reduced_homology` would refuse to eliminate over coeff, with the
-    kernel's message."""
+    maps d_0, d_1, ... `reduced_homology` would refuse to eliminate over
+    coeff, naming it."""
     for d, cols in enumerate(face_counts):
-        check_rank_budget(face_counts[d - 1] if d else 1, cols, coeff, mem_budget)
+        check_rank_budget(face_counts[d - 1] if d else 1, cols, coeff, mem_budget, f"d_{d}")
 
 
 def reduced_homology(
@@ -79,8 +77,6 @@ def reduced_homology(
     checked against the budget before the first is eliminated, so a
     refusal costs no elimination.
     """
-    if coeff not in COEFFS:
-        raise ValueError(f"coeff must be one of {COEFFS}")
     if not sc.faces or not sc.faces[0]:
         return [], []
     check_homology_budget(sc.face_counts(), coeff, mem_budget)

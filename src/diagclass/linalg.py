@@ -115,34 +115,33 @@ def rational_rank_bytes(rows: int, cols: int) -> int:
 # the largest side of a matrix the Smith normal form is attempted on
 SNF_SIZE_CAP = 200_000
 
+# field -> (bytes its rank kernel is charged for a shape, how they are held)
+_CHARGES = {
+    "gf2": (gf2_packed_bytes, "packed"),
+    "rational": (rational_rank_bytes, "for its rank over Q"),
+}
 
-def check_rank_budget(
-    rows: int, cols: int, field: str, mem_budget: int = DEFAULT_MEM_BUDGET
-) -> None:
+
+def check_rank_budget(rows: int, cols: int, field: str, mem_budget: int, name: str) -> None:
     """Refuse, from the shape alone, what `rank_gf2` (field "gf2"),
-    `rank_rational` (field "rational") or `smith_normal_form` (field
+    `rank_mod_p` (field "rational") or `smith_normal_form` (field
     "integer", bounded by SNF_SIZE_CAP instead of the budget) would refuse,
-    with its message."""
-    if field == "gf2":
-        need = gf2_packed_bytes(rows, cols)
-        if need > mem_budget:
-            raise ComputationBudgetError(
-                f"packed GF(2) matrix needs {need} bytes, budget {mem_budget}"
-            )
-    elif field == "rational":
-        need = rational_rank_bytes(rows, cols)
-        if need > mem_budget:
-            raise ComputationBudgetError(
-                f"rank over Q of a {rows}x{cols} matrix needs {need} bytes, "
-                f"budget {mem_budget}"
-            )
-    elif field == "integer":
+    in one sentence that names the map, `name`."""
+    if field == "integer":
         if max(rows, cols) > SNF_SIZE_CAP:
             raise ComputationBudgetError(
-                f"matrix {rows}x{cols} exceeds Smith normal form cap {SNF_SIZE_CAP}"
+                f"{name} needs a {rows}x{cols} matrix, "
+                f"over the Smith normal form cap {SNF_SIZE_CAP}"
             )
-    else:
+        return
+    if field not in _CHARGES:
         raise ValueError(f"unknown field {field!r}")
+    charge, held = _CHARGES[field]
+    need = charge(rows, cols)
+    if need > mem_budget:
+        raise ComputationBudgetError(
+            f"{name} needs a {rows}x{cols} matrix ({need} bytes {held}), budget {mem_budget}"
+        )
 
 
 def _link_short_rows(
@@ -309,7 +308,7 @@ def rank_gf2(m: SparseMatrix, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
     pivots are at most k bitsets of k bits, k <= min(rows, cols), never
     more bits than the packed matrix the budget charges.
     """
-    check_rank_budget(m.rows, m.cols, "gf2", mem_budget)
+    check_rank_budget(m.rows, m.cols, "gf2", mem_budget, "rank_gf2")
     rank, width, rows = _contract(m, 2, m.nnz)
     pivots = [0] * (width + 1)  # pivots[k]: the pivot whose highest bit is k - 1
     for cols, vals in rows:
@@ -350,7 +349,7 @@ def rank_mod_p(m: SparseMatrix, p: int, mem_budget: int = DEFAULT_MEM_BUDGET) ->
     entries, and under the budget for any matrix: the entries are grouped
     in as few passes as the budget left over allows.
     """
-    check_rank_budget(m.rows, m.cols, "rational", mem_budget)
+    check_rank_budget(m.rows, m.cols, "rational", mem_budget, "rank_mod_p")
     spare = mem_budget - rational_rank_bytes(m.rows, m.cols)
     rank, width, rows = _contract(m, p, max(m.rows, m.cols) + spare // 8)
     pivot_cols: list[Optional[array]] = [None] * width
@@ -415,7 +414,7 @@ def smith_normal_form(m: SparseMatrix) -> tuple[int, ...]:
     chain by gcd/lcm insertion; pivots equal to 1, the common case on
     boundary maps, stay at the front of the chain and need no folding.
     """
-    check_rank_budget(m.rows, m.cols, "integer")
+    check_rank_budget(m.rows, m.cols, "integer", DEFAULT_MEM_BUDGET, "smith_normal_form")
     rows: dict[int, dict[int, int]] = {}  # rows[r][c]: the nonzero entries
     cols: dict[int, set[int]] = {}  # cols[c]: rows with an entry in column c
 

@@ -119,17 +119,25 @@ class GradedPoset:
         return "\n".join(lines)
 
 
+def _least(part):
+    """Sort key of a label part: a vertex itself, a set its least member's
+    key, a tuple its members' keys; so the blocks of a clustering come in
+    order of their least vertex, and so do an assignment's (block, labels)
+    pairs."""
+    if isinstance(part, frozenset):
+        return min(map(_least, part))
+    if isinstance(part, tuple):
+        return tuple(map(_least, part))
+    return part
+
+
 def _label_str(label) -> str:
+    """A face label with every set in braces, so that it reads
+    unambiguously: the clustering of blocks {1} and {2, 3} is {{1},{2,3}}."""
     if isinstance(label, frozenset):
-        try:
-            parts = sorted(label, key=lambda b: sorted(b) if isinstance(b, (frozenset, tuple)) else b)
-        except TypeError:
-            parts = list(label)
-        return "|".join(_label_str(p) for p in parts)
+        return "{" + ",".join(_label_str(p) for p in sorted(label, key=_least)) + "}"
     if isinstance(label, tuple):
-        return "(" + ",".join(_label_str(x) for x in label) + ")"
-    if isinstance(label, (set, list)):
-        return "{" + ",".join(str(x) for x in sorted(label)) + "}"
+        return "(" + ",".join(map(_label_str, label)) + ")"
     return str(label)
 
 

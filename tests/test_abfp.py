@@ -198,7 +198,8 @@ def test_skeleton_strategy_refuses_before_building_the_poset(monkeypatch):
         raise AssertionError("poset built for a refused skeleton")
 
     monkeypatch.setattr(homology, "cluster_permutohedron", unbuilt)
-    with pytest.raises(ComputationBudgetError, match="packed GF"):
+    refusal = r"^d_2 needs a 246960x211680 matrix \(6535549440 bytes packed\)"
+    with pytest.raises(ComputationBudgetError, match=refusal):
         _skeleton_homology_evidence(named_graph("cycle", 7), 2 * 1024**3)
 
 

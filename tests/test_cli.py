@@ -146,6 +146,36 @@ def test_recognize_bad_input(runner):
     assert res.exit_code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("payload", [
+    '{"n": 3, "edges": [[1, "a"]]}',
+    '{"n": "x", "edges": []}',
+    '{"n": 3, "edges": 5}',
+    '{"n": 3, "edges": [[1, null]]}',
+    '{"n": 3, "edges": [5]}',
+    '{"n": 2, "edges": [[1, 2.5]]}',
+    '{"n": true, "edges": []}',
+])
+def test_malformed_json_pattern_is_input_error(runner, payload):
+    res = runner.invoke(main, ["recognize", "-"], input=payload)
+    assert res.exit_code == EXIT_INPUT
+    assert res.stdout == ""
+    assert res.stderr.startswith("input error: ")
+    assert res.stderr.count("\n") == 1
+
+
+def test_large_edgeless_pattern_is_refused_at_once():
+    # fewer than n - 1 edges: refused before anything of size n is built
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "diagclass.cli", "formality", "-"],
+        input="1000000 0\n", capture_output=True, text=True, env=_child_env(), timeout=20,
+        preexec_fn=_limit_address_space,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr == "input error: formality verdict requires a connected graph\n"
+
+
 def test_recognize_text_format(runner):
     res = runner.invoke(main, ["recognize", "-", "--format", "text"], input=K3)
     assert res.exit_code == 0
@@ -191,6 +221,24 @@ def test_formality_long_cycle_is_undetermined(runner):
         out = json.loads(res.stdout)
         assert out["verdict"] == "undetermined"
         assert out["witness"]["kind"] == kind
+
+
+def test_formality_undetermined_says_why(runner):
+    # every strategy is refused on C7's model graph, each with its map
+    res = runner.invoke(main, ["formality", "-"], input=CYCLE7)
+    assert res.exit_code == EXIT_BUDGET
+    out = json.loads(res.stdout)
+    assert out["evidence"] == {}
+    moment = "L_2 needs a 370440x141120 matrix (6534561600 bytes packed), budget 2147483648"
+    assert out["attempts"] == [
+        {"strategy": "skeleton_homology",
+         "refused": "d_2 needs a 246960x211680 matrix (6535549440 bytes packed), budget 2147483648"},
+        {"strategy": "total_betti_mismatch", "refused": moment},
+        {"strategy": "abfp_inconsistency", "refused": moment},
+    ]
+    # only an undetermined verdict says what was tried
+    res = runner.invoke(main, ["formality", "-"], input=CLAW)
+    assert "attempts" not in json.loads(res.stdout)
 
 
 def test_invalid_budget_env_is_input_error(runner, monkeypatch):
@@ -292,10 +340,14 @@ def _limit_address_space():
 @pytest.mark.parametrize(
     "poset, coeff, stdin, message",
     [
-        ("cluster", "f2", CYCLE7, "packed GF(2) matrix needs 19673617824 bytes, budget 2147483648"),
-        ("cluster", "z", CYCLE6, "matrix 127446x581040 exceeds Smith normal form cap 200000"),
-        ("graphic", "f2", CYCLE6, "packed GF(2) matrix needs 18520935168 bytes, budget 2147483648"),
-        ("graphic", "f2", CYCLE7, "packed GF(2) matrix needs 22388977744 bytes, budget 2147483648"),
+        ("cluster", "f2", CYCLE7,
+         "d_1 needs a 65556x2400797 matrix (19673617824 bytes packed), budget 2147483648"),
+        ("cluster", "z", CYCLE6,
+         "d_2 needs a 127446x581040 matrix, over the Smith normal form cap 200000"),
+        ("graphic", "f2", CYCLE6,
+         "d_2 needs a 155544x952572 matrix (18520935168 bytes packed), budget 2147483648"),
+        ("graphic", "f2", CYCLE7,
+         "d_1 needs a 65563x2731848 matrix (22388977744 bytes packed), budget 2147483648"),
     ],
     ids=["f2-cycle7", "z-cycle6", "graphic-f2-cycle6", "graphic-f2-cycle7"],
 )

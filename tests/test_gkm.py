@@ -55,9 +55,16 @@ def test_build_gkm_graph_requires_connected():
 
 def test_monomials():
     assert monomials(2, 2) == [(2, 0), (1, 1), (0, 2)]
-    for nvars in (1, 2, 3, 4):
+    for nvars in (0, 1, 2, 3, 4):
         for d in range(4):
             assert len(monomials(nvars, d)) == num_monomials(nvars, d)
+
+
+def test_single_vertex_pattern():
+    # one vertex: one fixed point, L_0 maps onto no edges
+    rep = gkm_total_betti(make_graph(1, []))
+    assert rep.equivariant == (1,)
+    assert rep.total == 1 == math.factorial(1)
 
 
 def test_kernel_matrix_shape_agrees():

@@ -157,7 +157,7 @@ def test_integral_homology_refuses_before_any_smith_form(monkeypatch):
     monkeypatch.setattr(homology, "smith_normal_form", lambda m: eliminated.append(m))
     with pytest.raises(ComputationBudgetError) as refused:
         integral_homology(complex_from_top_faces([range(6)]))
-    assert str(refused.value) == "matrix 15x20 exceeds Smith normal form cap 15"
+    assert str(refused.value) == "d_2 needs a 15x20 matrix, over the Smith normal form cap 15"
     assert eliminated == []
 
 
@@ -170,6 +170,7 @@ def test_budget_refuses_before_any_elimination(monkeypatch):
     monkeypatch.setattr(homology, "rank_gf2", lambda m, **kw: eliminated.append(m))
     with pytest.raises(ComputationBudgetError) as refused:
         betti_numbers(sc, coeff="gf2", mem_budget=3000)
-    assert str(refused.value) == str(direct.value)
-    assert str(refused.value) == "packed GF(2) matrix needs 5184 bytes, budget 3000"
+    # the same shape, bytes and budget; each sentence names its own map
+    assert str(direct.value) == "rank_gf2 needs a 216x144 matrix (5184 bytes packed), budget 3000"
+    assert str(refused.value) == "d_2 needs a 216x144 matrix (5184 bytes packed), budget 3000"
     assert eliminated == []

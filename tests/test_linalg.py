@@ -441,11 +441,11 @@ def test_rank_rational_refusal_message():
     m = sparse_from_dense([[1, 2, 3], [4, 5, 6]])
     assert rational_rank_bytes(2, 3) == 8 * 2 * 34 + 24 * 3 + 4096
     budget = rational_rank_bytes(2, 3) - 1
-    want = f"rank over Q of a 2x3 matrix needs {budget + 1} bytes, budget {budget}"
+    want = f"rank_mod_p needs a 2x3 matrix ({budget + 1} bytes for its rank over Q), budget {budget}"
     for refuse in (
         lambda: rank_rational(m, mem_budget=budget),
         lambda: rank_mod_p(m, PRIME, mem_budget=budget),
-        lambda: check_rank_budget(2, 3, "rational", budget),
+        lambda: check_rank_budget(2, 3, "rational", budget, "rank_mod_p"),
     ):
         with pytest.raises(ComputationBudgetError) as ei:
             refuse()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import networkx as nx
 import pytest
@@ -214,3 +215,25 @@ def test_exports():
     cp = cluster_permutohedron(PATH3)
     dot = cp.to_dot()
     assert dot.startswith("digraph") and dot.count("->") == len(cp.covers)
+
+
+def _dot_labels(p) -> list[str]:
+    return re.findall(r'label="([^"]*)"', p.to_dot())
+
+
+def test_face_labels_are_distinct_and_in_block_order():
+    def braces(vertices):
+        return "{" + ",".join(map(str, sorted(vertices))) + "}"
+
+    for n in range(1, 5):
+        for g in connected_graphs_up_to_iso(n):
+            for build in (clusterings, cluster_permutohedron, graphicahedron):
+                labels = _dot_labels(build(g))
+                assert len(set(labels)) == len(labels), (g, build)
+            # blocks, and the (block, labels) pairs, by their least vertex
+            cp = cluster_permutohedron(g)
+            for (c, a), label in zip(cp.labels, _dot_labels(cp)):
+                blocks = sorted(c, key=min)
+                held = dict(a)
+                pairs = ",".join(f"({braces(b)},{braces(held[b])})" for b in blocks)
+                assert label == f"({{{','.join(map(braces, blocks))}}},{{{pairs}}})"
