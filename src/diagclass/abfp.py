@@ -205,9 +205,9 @@ class FormalityVerdict:
                 "kind": self.witness.describe(),
                 "vertices": sorted(self.witness.vertices),
             }
-        payload["evidence"] = dict(self.evidence)
+        payload["evidence"] = self.evidence
         if self.verdict == "undetermined":
-            payload["attempts"] = [dict(a) for a in self.attempts]
+            payload["attempts"] = self.attempts
         return payload
 
 
@@ -300,7 +300,6 @@ def formality_report(
     return FormalityVerdict(g, "nonformal", witness=witness, evidence=evidence)
 
 
-@lru_cache(maxsize=1024)
 def _witness_evidence(
     kind: str, length: Optional[int], mem_budget: int
 ) -> tuple[Optional[dict], list[dict]]:

@@ -23,13 +23,7 @@ from itertools import combinations_with_replacement, permutations
 from typing import Optional
 
 from .graphs import Graph, GraphInputError
-from .linalg import (
-    DEFAULT_MEM_BUDGET,
-    SparseMatrix,
-    check_rank_budget,
-    rank_gf2,
-    rank_rational,
-)
+from .linalg import DEFAULT_MEM_BUDGET, SparseMatrix, check_rank_budget, eliminate
 from .polynomials import Polynomial, series_expand_product
 
 
@@ -146,9 +140,7 @@ def equivariant_betti(
     """dim of the degree-`degree` equivariant cohomology = dim ker L_degree,
     over field "gf2" or "rational"."""
     m = kernel_matrix(gg, degree)
-    check_rank_budget(m.rows, m.cols, field, mem_budget, f"L_{degree}")
-    rank = rank_gf2 if field == "gf2" else rank_rational
-    return m.cols - rank(m, mem_budget=mem_budget)
+    return m.cols - eliminate(m, field, mem_budget, f"L_{degree}")[0]
 
 
 def equivariant_betti_series(
@@ -268,13 +260,10 @@ def gkm_total_betti(
     )
     ref = known_betti_vector(g)
     ref_total = sum(ref) if ref is not None else None
+    full = tuple(low) + tuple(low[top - j] for j in range(half + 1, top + 1))
     if negative or mirror:
-        return GkmBettiReport(
-            g, field, tuple(dims), tuple(low), None, None, negative, mirror,
-            ref, ref_total,
-        )
-    full = list(low) + [low[top - j] for j in range(half + 1, top + 1)]
+        full = None  # a red flag leaves the completion and the total undetermined
     return GkmBettiReport(
-        g, field, tuple(dims), tuple(low), tuple(full), sum(full),
-        False, False, ref, ref_total,
+        g, field, tuple(dims), tuple(low), full, None if full is None else sum(full),
+        negative, mirror, ref, ref_total,
     )

@@ -2,13 +2,13 @@
 field, the rationals or the integers, and the homology of a skeleton of a
 clustering poset.
 
-One path serves every ring: each boundary map is eliminated with the
-ring's kernel (`rank_gf2`, `rank_rational` or `smith_normal_form`), and
-over the integers the number of Smith divisors is the rank and the
-divisors above 1 are the torsion.  The augmentation is the boundary map
-d_0, so every Betti number is reduced.  Faces carry the orientation
-induced by sorted vertex tuples, so the boundary of (v_0 < ... < v_d) is
-the alternating sum over vertex deletions.
+One path serves every ring: each boundary map d_k goes through
+`linalg.eliminate`, which picks the ring's kernel and gives its rank and,
+over the integers, the Smith divisors above 1, the torsion.  The
+augmentation is the boundary map d_0, so every Betti number is reduced.
+Faces carry the orientation induced by sorted vertex tuples, so the
+boundary of (v_0 < ... < v_d) is the alternating sum over vertex
+deletions.
 """
 
 from __future__ import annotations
@@ -18,18 +18,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph
-from .linalg import (
-    DEFAULT_MEM_BUDGET,
-    SparseMatrix,
-    check_rank_budget,
-    rank_gf2,
-    rank_rational,
-    smith_normal_form,
-)
+from .linalg import DEFAULT_MEM_BUDGET, SparseMatrix, check_rank_budget, eliminate
 from .posets import (
     SimplicialComplex,
     cluster_permutohedron,
     graphicahedron,
+    low_face_counts,
     order_complex,
     skeleton_face_counts,
 )
@@ -80,25 +74,14 @@ def reduced_homology(
     if not sc.faces or not sc.faces[0]:
         return [], []
     check_homology_budget(sc.face_counts(), coeff, mem_budget)
-    ranks: list[int] = []
-    torsion: list[tuple[int, ...]] = []
-    for d in range(sc.dim + 1):
-        m = boundary_matrix(sc, d)
-        divisors: tuple[int, ...] = ()
-        if not (m.rows and m.cols):
-            rank = 0
-        elif coeff == "integer":
-            divisors = smith_normal_form(m)
-            rank = len(divisors)
-        else:
-            rank = (rank_gf2 if coeff == "gf2" else rank_rational)(m, mem_budget=mem_budget)
-        ranks.append(rank)
-        torsion.append(tuple(t for t in divisors if t > 1))
+    eliminated = [
+        eliminate(boundary_matrix(sc, d), coeff, mem_budget, f"d_{d}")
+        for d in range(sc.dim + 1)
+    ]
     # the zero map above the top dimension; H_d's torsion comes from d_{d+1}
-    ranks.append(0)
-    torsion.append(())
+    ranks = [rank for rank, _ in eliminated] + [0]
     betti = [len(sc.faces[d]) - ranks[d] - ranks[d + 1] for d in range(sc.dim + 1)]
-    return betti, torsion[1:]
+    return betti, [torsion for _, torsion in eliminated[1:]] + [()]
 
 
 def betti_numbers(
@@ -164,8 +147,10 @@ def poset_homology(
     (kind "cluster") or the graphicahedron (kind "graphic") of g up to
     rank max_rank, with the poset's kind, element count and rank bound.
 
-    The complex is refused from its face counts before the poset is built.
+    The complex is refused from its face counts before the poset is built,
+    d_0 and d_1 first, from counts that cost a fraction of the chain count.
     """
+    check_homology_budget(low_face_counts(g, kind, max_rank), coeff, mem_budget)
     check_homology_budget(skeleton_face_counts(g, kind, max_rank), coeff, mem_budget)
     build = cluster_permutohedron if kind == "cluster" else graphicahedron
     p = build(g, max_rank=max_rank)

@@ -13,7 +13,9 @@ reduce Python-int bitsets, and ranks over Q are ranks modulo word-size
 primes, reduced as dicts and certified by agreement across primes.  The
 rank is exact, because rank(G + R) = rank(G) + rank(R modulo span G).
 This is the graph step of structured Gaussian elimination (LaMacchia and
-Odlyzko, 1990).  The module uses only the standard library.
+Odlyzko, 1990).  The rest of the package eliminates a map only through
+`eliminate`, which picks the ring's kernel.  The module uses only the
+standard library.
 """
 
 from __future__ import annotations
@@ -406,28 +408,22 @@ def smith_normal_form(m: SparseMatrix) -> tuple[int, ...]:
     """Elementary divisors d1 | d2 | ... of an integer matrix; their
     number is its rank.
 
-    Classical elimination with smallest-pivot selection: the pivot's row
-    and column are cleared by floor-division quotients, and a nonzero
-    remainder, smaller than the pivot, becomes the next pivot.  A finished
-    pivot's row and column leave the matrix, so each pivot search sees
-    only what is left.  The pivots are then folded into a divisibility
-    chain by gcd/lcm insertion; pivots equal to 1, the common case on
-    boundary maps, stay at the front of the chain and need no folding.
+    Classical elimination from the smallest entry, one kind of step at a
+    time.  Row steps clear the pivot's column by floor-division quotients,
+    moving the pivot to the smallest remainder there until none is left;
+    a column step then changes only the pivot row, whose entries are
+    reduced modulo the pivot in place.  The row leaves when nothing else
+    is left in it; otherwise its smallest remainder becomes the pivot.
+    The pivots are then folded into a divisibility chain by gcd/lcm
+    insertion; pivots equal to 1, the common case on boundary maps, stay
+    at the front of the chain and need no folding.
     """
     check_rank_budget(m.rows, m.cols, "integer", DEFAULT_MEM_BUDGET, "smith_normal_form")
     rows: dict[int, dict[int, int]] = {}  # rows[r][c]: the nonzero entries
     cols: dict[int, set[int]] = {}  # cols[c]: rows with an entry in column c
-
-    def put(r: int, c: int, v: int) -> None:
-        if v:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, set()).add(r)
-        elif c in rows.get(r, ()):
-            del rows[r][c]
-            cols[c].discard(r)
-
     for r, c, v in zip(m.row, m.col, m.val):
-        put(r, c, v)
+        rows.setdefault(r, {})[c] = v
+        cols.setdefault(c, set()).add(r)
 
     units = 0
     chain: list[int] = []  # the other pivots' divisors, each dividing the next
@@ -443,39 +439,42 @@ def smith_normal_form(m: SparseMatrix) -> tuple[int, ...]:
                 break
         _, pr, pc = best
         while True:
-            pv = rows[pr][pc]
-            reduced = False
-            for r in list(cols[pc]):
-                if r != pr:
-                    q = rows[r][pc] // pv
-                    if q:
-                        for c, v in list(rows[pr].items()):
-                            put(r, c, rows[r].get(c, 0) - q * v)
-                        if not rows[r]:
-                            del rows[r]
-                    reduced |= pc in rows.get(r, ())
-            for c in list(rows[pr]):
-                if c != pc:
-                    q = rows[pr][c] // pv
-                    if q:
-                        for r in list(cols[pc]):
-                            put(r, c, rows[r].get(c, 0) - q * rows[r][pc])
-                    reduced |= c in rows[pr]
-            if not reduced:
+            # row steps, until the pivot is alone in its column
+            while True:
+                pivot = rows[pr]
+                pv = pivot[pc]
+                for r in cols[pc] - {pr}:
+                    row = rows[r]
+                    q = row[pc] // pv
+                    if not q:
+                        continue
+                    for c, v in pivot.items():
+                        if c in row:
+                            w = row[c] - q * v
+                            if w:
+                                row[c] = w
+                            else:
+                                del row[c]
+                                cols[c].discard(r)
+                        else:
+                            row[c] = -q * v
+                            cols[c].add(r)
+                    if not row:
+                        del rows[r]
+                if len(cols[pc]) == 1:
+                    break
+                pr = min(cols[pc], key=lambda r: abs(rows[r][pc]))
+            # a column step: the pivot row's remainders modulo the pivot
+            rest ={c: w for c, v in pivot.items() if (w := v % pv)}
+            if not rest:
                 break
-            # a nonzero remainder is smaller than the pivot: move to the
-            # smallest entry of the pivot's row and column
-            cand = None
-            for r in cols[pc]:
-                v = abs(rows[r][pc])
-                if cand is None or v < cand[0]:
-                    cand = (v, r, pc)
-            for c, v in rows[pr].items():
-                if abs(v) < cand[0]:
-                    cand = (abs(v), pr, c)
-            _, pr, pc = cand
-        x = abs(rows.pop(pr)[pc])
-        del cols[pc]
+            for c in pivot.keys() - rest.keys() - {pc}:
+                cols[c].discard(pr)
+            rows[pr] = {**rest, pc: pv}
+            pc = min(rest, key=lambda c: abs(rest[c]))
+        for c in rows.pop(pr):
+            cols[c].discard(pr)
+        x = abs(pv)
         if x == 1:
             units += 1
             continue
@@ -486,6 +485,26 @@ def smith_normal_form(m: SparseMatrix) -> tuple[int, ...]:
             chain[i], x = g, c // g * x
         chain.append(x)
     return (1,) * units + tuple(chain)
+
+
+def eliminate(
+    m: SparseMatrix, ring: str, mem_budget: int, name: str
+) -> tuple[int, tuple[int, ...]]:
+    """The rank of m over ring "gf2", "rational" or "integer", and over
+    the integers its Smith divisors above 1; the one way the package
+    eliminates a map.
+
+    m is checked against the budget first, in a refusal that names the
+    map `name`, and an empty map has rank 0.  The kernels are looked up
+    when this runs, so a rebinding of their names in this module is seen.
+    """
+    check_rank_budget(m.rows, m.cols, ring, mem_budget, name)
+    if not (m.rows and m.cols):
+        return 0, ()
+    if ring == "integer":
+        divisors = smith_normal_form(m)
+        return len(divisors), tuple(d for d in divisors if d > 1)
+    return (rank_gf2 if ring == "gf2" else rank_rational)(m, mem_budget=mem_budget), ()
 
 
 # -- exact affine systems --------------------------------------------

@@ -17,11 +17,17 @@ from diagclass.gkm import (
     num_monomials,
     ordinary_betti_from_equivariant,
 )
-from diagclass.graphs import GraphInputError, make_graph, named_graph
+from diagclass.graphs import (
+    GraphInputError,
+    connected_graphs_up_to_iso,
+    make_graph,
+    named_graph,
+)
 from diagclass.hessenberg import (
     HessenbergFunction,
     betti_polynomial_hessenberg,
     hessenberg_to_graph,
+    is_indifference,
 )
 from diagclass.linalg import ComputationBudgetError
 
@@ -152,6 +158,20 @@ def test_claw_pipeline_is_flagged():
     assert rep.reference_vector == (1, 1, 12, 0, 12, 1, 1)
     assert rep.reference_total == 28
     assert not rep.undetermined  # reference value still resolves it
+
+
+def test_whole_pattern_report_is_flagged_exactly_off_indifference():
+    """The whole pattern's GF(2) moment-graph report, red-flagged when its
+    total is not n! or is missing for a broken palindrome or a negative
+    coefficient, marks exactly the patterns that are not indifference
+    graphs: an oracle for the verdict that does not search for a witness."""
+    patterns = [g for n in (3, 4, 5) for g in connected_graphs_up_to_iso(n)]
+    assert len(patterns) == 29
+    for g in patterns:
+        rep = gkm_total_betti(g, field="gf2")
+        assert (rep.total is None) == (rep.negative_coefficient or rep.duality_violation)
+        flagged = rep.total != math.factorial(g.n)
+        assert flagged == (not is_indifference(g)), sorted(g.edges)
 
 
 def test_claw_dims_field_independent():

@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-import diagclass.homology as homology
 import diagclass.linalg as linalg
 from diagclass.graphs import make_graph, named_graph
 from diagclass.homology import (
@@ -154,7 +153,7 @@ def test_integral_homology_refuses_before_any_smith_form(monkeypatch):
     # d_0 and d_1 are put in Smith normal form
     monkeypatch.setattr(linalg, "SNF_SIZE_CAP", 15)
     eliminated = []
-    monkeypatch.setattr(homology, "smith_normal_form", lambda m: eliminated.append(m))
+    monkeypatch.setattr(linalg, "smith_normal_form", lambda m: eliminated.append(m))
     with pytest.raises(ComputationBudgetError) as refused:
         integral_homology(complex_from_top_faces([range(6)]))
     assert str(refused.value) == "d_2 needs a 15x20 matrix, over the Smith normal form cap 15"
@@ -167,7 +166,7 @@ def test_budget_refuses_before_any_elimination(monkeypatch):
     with pytest.raises(ComputationBudgetError) as direct:
         rank_gf2(boundary_matrix(sc, 2), mem_budget=3000)
     eliminated = []
-    monkeypatch.setattr(homology, "rank_gf2", lambda m, **kw: eliminated.append(m))
+    monkeypatch.setattr(linalg, "rank_gf2", lambda m, **kw: eliminated.append(m))
     with pytest.raises(ComputationBudgetError) as refused:
         betti_numbers(sc, coeff="gf2", mem_budget=3000)
     # the same shape, bytes and budget; each sentence names its own map

@@ -16,6 +16,7 @@ from diagclass.linalg import (
     RankCertificationError,
     SparseMatrix,
     check_rank_budget,
+    eliminate,
     gf2_packed_bytes,
     rank_gf2,
     rank_mod_p,
@@ -484,6 +485,12 @@ def test_smith_normal_form_fixtures():
     assert smith_normal_form(sparse_from_dense([[1, 0], [0, 1]])) == (1, 1)
     # divisibility chain is enforced even when pivots arrive out of order
     assert smith_normal_form(sparse_from_dense([[6, 0], [0, 4]])) == (2, 12)
+    # the pivot's column clears, but the pivot does not divide its row
+    assert smith_normal_form(sparse_from_dense([[2, 3]])) == (1,)
+    assert smith_normal_form(sparse_from_dense([[6, 10, 15]])) == (1,)
+    assert smith_normal_form(sparse_from_dense([[2, 3], [4, 5]])) == (1, 2)
+    assert smith_normal_form(sparse_from_dense([[4, 6], [6, 4]])) == (2, 10)
+    assert smith_normal_form(sparse_from_dense([[3, 5], [5, 3]])) == (1, 16)
 
 
 def test_smith_normal_form_against_minor_gcds():
@@ -496,6 +503,20 @@ def test_smith_normal_form_against_minor_gcds():
             continue
         got = smith_normal_form(sparse_from_dense(dense))
         assert got == minor_gcd_divisors(dense)
+    # a seeded corpus up to 5 x 5, entries up to 12 in absolute value, of
+    # every density; a quarter or more of it has torsion
+    torsion = 0
+    for _ in range(1000):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        density = rng.random()
+        dense = [[rng.randint(-12, 12) if rng.random() < density else 0 for _ in range(cols)]
+                 for _ in range(rows)]
+        if not any(any(r) for r in dense):
+            continue
+        got = smith_normal_form(sparse_from_dense(dense))
+        assert got == minor_gcd_divisors(dense), dense
+        torsion += any(d > 1 for d in got)
+    assert torsion > 250
     # several non-unit divisors in no divisibility order, on the diagonal
     # and hidden by unimodular row and column operations
     for _ in range(40):
@@ -513,6 +534,18 @@ def test_smith_normal_form_against_minor_gcds():
                 for row in dense:
                     row[i] += f * row[j]
         assert smith_normal_form(sparse_from_dense(dense)) == expected
+
+
+def test_eliminate_over_each_ring(monkeypatch):
+    m = sparse_from_dense([[2, 0, 0], [0, 6, 0], [0, 0, 1]])
+    assert eliminate(m, "gf2", 10**6, "m") == (1, ())
+    assert eliminate(m, "rational", 10**6, "m") == (3, ())
+    assert eliminate(m, "integer", 10**6, "m") == (3, (2, 6))
+    # an empty map reaches no kernel
+    monkeypatch.setattr(linalg, "rank_gf2", None)
+    assert eliminate(SparseMatrix.from_triples(0, 3, []), "gf2", 10**6, "d_0") == (0, ())
+    with pytest.raises(ComputationBudgetError, match=r"^L_2 needs a 3x3 matrix"):
+        eliminate(m, "gf2", 1, "L_2")
 
 
 def test_solve_affine_system():

@@ -19,6 +19,7 @@ from diagclass.posets import (
     clusterings,
     discrete_clustering,
     graphicahedron,
+    low_face_counts,
     order_complex,
     project_assignment,
     skeleton,
@@ -200,6 +201,17 @@ def test_skeleton_face_counts_match_order_complex():
             built = order_complex(graphicahedron(g, max_rank=r))
             assert skeleton_face_counts(g, "graphic", r) == built.face_counts()
     assert skeleton_face_counts(named_graph("cycle", 7), "cluster", 2) == [46200, 246960, 211680]
+
+
+def test_low_face_counts_match_the_chain_count():
+    k5 = named_graph("complete", 5)
+    fork = make_graph(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
+    cases = [(k5, "graphic"), (named_graph("cycle", 6), "graphic"), (k5, "cluster"),
+             (fork, "cluster")]
+    for g, kind in cases:
+        for r in (0, 1, 2, None):
+            assert low_face_counts(g, kind, r) == skeleton_face_counts(g, kind, r)[:2]
+    assert low_face_counts(k5, "graphic", None) == [4048, 865177]
 
 
 def test_order_complex_chains_are_chains():
