@@ -8,22 +8,23 @@ A has nonnegative coefficients.  The recursion computes A bottom-up over
 faces; the consistency test turns the same identity plus Poincare
 duality into a linear system whose forced consequences can contradict a
 computed Betti number - that contradiction is a formality obstruction.
+
+A formal pattern's verdict needs only recognition, so the module imports
+the layers of the evidence strategies (`homology`, `gkm`), of the face
+sums (`posets`) and of the affine solve (`linalg`, `fractions`) inside
+the functions that call them; its names for them are looked up when
+those functions run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .gkm import (
-    equivariant_betti_series,
-    gkm_total_betti,
-    ordinary_betti_from_equivariant,
-)
 from .graphs import (
+    DEFAULT_MEM_BUDGET,
+    ComputationBudgetError,
     ForbiddenWitness,
     Graph,
     GraphInputError,
@@ -38,20 +39,7 @@ from .hessenberg import (
     recognize_indifference,
     staircase_key,
 )
-from .homology import poset_homology
-from .linalg import (
-    DEFAULT_MEM_BUDGET,
-    ComputationBudgetError,
-    SparseMatrix,
-    solve_affine_system,
-)
 from .polynomials import Polynomial, poly_divide_exact
-from .posets import (
-    Clustering,
-    all_clusterings,
-    assignment_multiplicity,
-    clustering_rank,
-)
 
 T_MINUS_1 = Polynomial([-1, 1])
 
@@ -80,30 +68,37 @@ def _staircase_A(key: tuple[int, ...]) -> Polynomial:
     return poly_divide_exact(B - inter, T_MINUS_1 ** (h.n - 1))
 
 
-def _face_A(c: Clustering, g: Graph) -> Polynomial:
-    """A of a product face: product of the factors' A polynomials."""
-    out = Polynomial.one()
-    for block in sorted(c, key=min):
-        out = out * compute_A(induced_subgraph(g, block))
-    return out
-
-
 def inter_polynomial(g: Graph) -> Polynomial:
     """Sum over proper faces of A_face (t-1)^{rank}, with assignment
-    multiplicities; faces grouped by clustering."""
+    multiplicities; faces grouped by clustering.
+
+    A face's A is the product of its blocks' A, and each block's A is
+    computed once for g; the faces of one rank are summed before their
+    power of (t-1) multiplies them.
+    """
+    from .posets import all_clusterings, assignment_multiplicity, clustering_rank
+
     if not g.is_connected():
         raise GraphInputError("intermediate polynomial requires a connected graph")
-    out = Polynomial.zero()
+    block_A: dict[frozenset[int], Polynomial] = {}
+    by_rank: dict[int, Polynomial] = {}
     for c in all_clusterings(g).labels:
         if len(c) == 1:
             continue  # the top face is the manifold itself, not a proper face
-        term = _face_A(c, g) * (T_MINUS_1 ** clustering_rank(c, g.n))
-        out = out + assignment_multiplicity(c, g.n) * term
+        face = Polynomial([assignment_multiplicity(c, g.n)])
+        for block in c:
+            if block not in block_A:
+                block_A[block] = compute_A(induced_subgraph(g, block))
+            face = face * block_A[block]
+        r = clustering_rank(c, g.n)
+        by_rank[r] = by_rank.get(r, Polynomial.zero()) + face
+    out = Polynomial.zero()
+    for r, faces in by_rank.items():
+        out = out + faces * T_MINUS_1 ** r
     return out
 
 
-@dataclass(frozen=True)
-class ConsistencyResult:
+class ConsistencyResult(NamedTuple):
     consistent: bool
     forced_b2: Optional[Fraction]
     beta2: int
@@ -130,6 +125,10 @@ def abfp_consistency_test(g: Graph, beta2: int, beta4: int) -> ConsistencyResult
     b_j = b_{E-j}.  Only forced consequences are compared against beta4,
     so the verdict does not depend on how the solution set is written.
     """
+    from fractions import Fraction
+
+    from .linalg import SparseMatrix, solve_affine_system
+
     n, E = g.n, g.num_edges
     d = E - (n - 1)
     if d < 0:
@@ -177,16 +176,15 @@ def abfp_consistency_test(g: Graph, beta2: int, beta4: int) -> ConsistencyResult
     return ConsistencyResult(True, forced, beta2, beta4)
 
 
-@dataclass(frozen=True)
-class FormalityVerdict:
+class FormalityVerdict(NamedTuple):
     graph: Graph
     verdict: str  # "formal" | "nonformal" | "undetermined"
-    certificate: Optional[IndifferenceCertificate] = None
-    witness: Optional[ForbiddenWitness] = None
-    evidence: dict = field(default_factory=dict)
+    certificate: Optional[IndifferenceCertificate]
+    witness: Optional[ForbiddenWitness]
+    evidence: dict
     # {"strategy": evidence kind, "refused": the budget's sentence} for each
     # strategy the budget refused, in order; printed for an undetermined verdict
-    attempts: list = field(default_factory=list)
+    attempts: list
 
     def to_dict(self) -> dict:
         """The verdict as the CLI prints it, its sequences as lists."""
@@ -219,6 +217,8 @@ def _skeleton_homology_evidence(wg: Graph, mem_budget: int) -> Optional[dict]:
     coefficient ring, so a nonzero H1 over the 2-element field (the
     cheapest exact computation) is already an obstruction.
     """
+    from .homology import poset_homology
+
     betti = poset_homology(wg, "cluster", 2, "gf2", mem_budget)["betti"]
     h1 = betti[1] if len(betti) > 1 else 0
     if h1 == 0:
@@ -233,6 +233,8 @@ def _skeleton_homology_evidence(wg: Graph, mem_budget: int) -> Optional[dict]:
 
 def _total_betti_evidence(wg: Graph, mem_budget: int) -> Optional[dict]:
     """Strategy (b): pipeline total Betti number differs from n!."""
+    from .gkm import gkm_total_betti
+
     report = gkm_total_betti(wg, field="gf2", mem_budget=mem_budget)
     fixed_points = math.factorial(wg.n)
     if report.total is not None and report.total != fixed_points:
@@ -258,6 +260,8 @@ def _total_betti_evidence(wg: Graph, mem_budget: int) -> Optional[dict]:
 
 def _abfp_evidence(wg: Graph, mem_budget: int) -> Optional[dict]:
     """Strategy (c): the consistency test contradicts a computed beta4."""
+    from .gkm import equivariant_betti_series, ordinary_betti_from_equivariant
+
     dims = equivariant_betti_series(wg, 2, field="gf2", mem_budget=mem_budget)
     low = ordinary_betti_from_equivariant(dims, wg.n)
     result = abfp_consistency_test(wg, low[1], low[2])
@@ -292,12 +296,12 @@ def formality_report(
         raise GraphInputError("formality verdict requires a connected graph")
     result = recognize_indifference(g)
     if isinstance(result, IndifferenceCertificate):
-        return FormalityVerdict(g, "formal", certificate=result)
+        return FormalityVerdict(g, "formal", result, None, {}, [])
     witness = result
     evidence, attempts = _witness_evidence(witness.kind, witness.length, mem_budget)
     if evidence is None:
-        return FormalityVerdict(g, "undetermined", witness=witness, attempts=attempts)
-    return FormalityVerdict(g, "nonformal", witness=witness, evidence=evidence)
+        return FormalityVerdict(g, "undetermined", None, witness, {}, attempts)
+    return FormalityVerdict(g, "nonformal", None, witness, evidence, [])
 
 
 def _witness_evidence(

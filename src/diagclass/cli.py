@@ -2,32 +2,47 @@
 
 Exit codes: 0 = success (verdicts included), 2 = input error,
 3 = budget exhausted / undetermined.
+
+A command loads only the layers it calls: `--version` loads none, and
+`formality` on a staircase loads `graphs`, `hessenberg`, `polynomials` and
+`abfp`.  Each layer is bound here as a module object that
+`importlib.util.LazyLoader` puts in `sys.modules` unloaded and that loads
+on its first attribute access.  The commands look every name up on those
+modules when they run, so a rebinding of a layer's function (a test's
+monkeypatch, the benchmark's tracer) is seen.  Importing the layers inside
+the commands would also defer them, but the benchmark's traced runner
+reads every layer from `sys.modules` right after importing this module.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
+import importlib.util
 import os
 import sys
 
 from . import __version__
-from .abfp import compute_A, formality_report
-from .gkm import build_gkm_graph, gkm_total_betti
-from .graphs import Graph, GraphInputError, parse_graph
-from .hessenberg import (
-    IndifferenceCertificate,
-    adi,
-    betti_polynomial_hessenberg,
-    connected_hessenberg_functions,
-    hessenberg_to_graph,
-    recognize_indifference,
-    staircase_key,
-)
-from .homology import poset_homology
-from .linalg import DEFAULT_MEM_BUDGET, ComputationBudgetError, RankCertificationError
-from .posets import cluster_permutohedron, graphicahedron
+
+
+def _lazy(name: str):
+    """The package module `name`, in `sys.modules` and loaded on its first
+    attribute access."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# every layer with a benchmark boundary, `linalg` included though no command
+# names it
+abfp, gkm, graphs, hessenberg, homology, linalg, posets = map(
+    _lazy, ("abfp", "gkm", "graphs", "hessenberg", "homology", "linalg", "posets"))
 
 BUDGET_ENV = "DIAGCLASS_MEM_BUDGET"
 
@@ -38,7 +53,7 @@ EXIT_BUDGET = 3
 _COEFFS = {"z": "integer", "q": "rational", "f2": "gf2"}
 
 
-def _read_graph(source: str) -> tuple[Graph, str]:
+def _read_graph(source: str) -> tuple[graphs.Graph, str]:
     try:
         if source == "-":
             text = sys.stdin.read()
@@ -46,11 +61,13 @@ def _read_graph(source: str) -> tuple[Graph, str]:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
     except OSError as exc:
-        raise GraphInputError(f"cannot read {source}: {exc}") from exc
-    return parse_graph(text), text
+        raise graphs.GraphInputError(f"cannot read {source}: {exc}") from exc
+    return graphs.parse_graph(text), text
 
 
 def _content_hash(text: str) -> str:
+    import hashlib
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -61,21 +78,24 @@ def _budget(mem_budget: int | None) -> int:
     if mem_budget is None:
         raw = os.environ.get(BUDGET_ENV)
         if not raw:
-            return DEFAULT_MEM_BUDGET
+            return graphs.DEFAULT_MEM_BUDGET
         source = f"${BUDGET_ENV}"
         try:
             mem_budget = int(raw)
         except ValueError:
-            raise GraphInputError(
+            raise graphs.GraphInputError(
                 f"{source} must be a whole number of bytes, got {raw!r}"
             ) from None
     if mem_budget < 0:
-        raise GraphInputError(f"{source} must be a nonnegative number of bytes, got {mem_budget}")
+        raise graphs.GraphInputError(
+            f"{source} must be a nonnegative number of bytes, got {mem_budget}")
     return mem_budget
 
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(report, indent=2))
     else:
         for key, value in report.items():
@@ -116,9 +136,9 @@ def _command(name: str, *arguments):
 def recognize(source: str, fmt: str) -> None:
     """Indifference-graph recognition with a certificate or witness."""
     g, text = _read_graph(source)
-    result = recognize_indifference(g)
+    result = hessenberg.recognize_indifference(g)
     report = {"config": _config_stamp(text), "n": g.n}
-    if isinstance(result, IndifferenceCertificate):
+    if isinstance(result, hessenberg.IndifferenceCertificate):
         report.update(indifference=True, ordering=list(result.ordering), h=list(result.h.h))
     else:
         report.update(indifference=False, witness=result.describe(),
@@ -131,7 +151,7 @@ def formality(source: str, mem_budget: int | None, fmt: str) -> int:
     """Diagonalizability / equivariant-formality verdict."""
     budget = _budget(mem_budget)
     g, text = _read_graph(source)
-    verdict = formality_report(g, mem_budget=budget)
+    verdict = abfp.formality_report(g, mem_budget=budget)
     report = verdict.to_dict()
     report["config"] = _config_stamp(text, mem_budget=budget)
     _emit(report, fmt)
@@ -148,15 +168,17 @@ def batch_hessenberg(max_n: int) -> None:
     the h that is its own key.
     """
     if max_n > 7:
-        raise GraphInputError("--max-n capped at 7")
+        raise graphs.GraphInputError("--max-n capped at 7")
+    if max_n < 1:
+        raise graphs.GraphInputError(f"--max-n must be at least 1, got {max_n}")
     print("n,edges,h,B,A")
     for n in range(1, max_n + 1):
-        for h in connected_hessenberg_functions(n):
-            if staircase_key(h) != h.h:
+        for h in hessenberg.connected_hessenberg_functions(n):
+            if hessenberg.staircase_key(h) != h.h:
                 continue
-            g = hessenberg_to_graph(h)
-            b = betti_polynomial_hessenberg(h)
-            a = compute_A(g)
+            g = hessenberg.hessenberg_to_graph(h)
+            b = hessenberg.betti_polynomial_hessenberg(h)
+            a = abfp.compute_A(g)
             edges = ";".join(f"{i}-{j}" for i, j in g.sorted_edges())
             print(f'{n},"{edges}","{h}","{b}","{a}"')
 
@@ -173,7 +195,7 @@ def clusterperm(source: str, poset: str, skeleton_rank: int | None, coeff: str,
     """Cluster-permutohedron / graphicahedron homology of a skeleton."""
     budget = _budget(mem_budget)
     g, text = _read_graph(source)
-    report = poset_homology(g, poset, skeleton_rank, _COEFFS[coeff], budget)
+    report = homology.poset_homology(g, poset, skeleton_rank, _COEFFS[coeff], budget)
     report["config"] = _config_stamp(text, coeff=coeff, mem_budget=budget)
     _emit(report, fmt)
 
@@ -184,11 +206,11 @@ def clusterperm(source: str, poset: str, skeleton_rank: int | None, coeff: str,
                         help="Coefficient field for rank computations.")),
     _BUDGET, _FORMAT,
 )
-def gkm(source: str, field: str, mem_budget: int | None, fmt: str) -> int:
+def gkm_cmd(source: str, field: str, mem_budget: int | None, fmt: str) -> int:
     """Moment-graph Betti report (equivariant dims, expansion, total)."""
     budget = _budget(mem_budget)
     g, text = _read_graph(source)
-    rep = gkm_total_betti(g, field=_COEFFS[field], mem_budget=budget)
+    rep = gkm.gkm_total_betti(g, field=_COEFFS[field], mem_budget=budget)
     report = rep.to_dict()
     report["config"] = _config_stamp(text, field=field, mem_budget=budget)
     _emit(report, fmt)
@@ -199,7 +221,7 @@ def gkm(source: str, field: str, mem_budget: int | None, fmt: str) -> int:
 def adi_cmd(source: str, fmt: str) -> None:
     """Minimum number of edge additions to reach an indifference graph."""
     g, text = _read_graph(source)
-    value, added = adi(g)
+    value, added = hessenberg.adi(g)
     report = {"config": _config_stamp(text), "adi": value,
               "added_edges": [list(e) for e in added]}
     _emit(report, fmt)
@@ -214,9 +236,9 @@ def export_dot(source: str, kind: str, skeleton_rank: int | None) -> None:
     """Graphviz export of a Hasse diagram or the moment graph."""
     g, _ = _read_graph(source)
     if kind == "gkm":
-        print(build_gkm_graph(g).to_dot())
+        print(gkm.build_gkm_graph(g).to_dot())
     else:
-        build = cluster_permutohedron if kind == "cluster" else graphicahedron
+        build = posets.cluster_permutohedron if kind == "cluster" else posets.graphicahedron
         print(build(g, max_rank=skeleton_rank).to_dot())
 
 
@@ -247,10 +269,10 @@ def main(args: list[str] | None = None, prog_name: str = "diagclass") -> None:
         # the reader has gone (as `| head` does): drop the rest of the output
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    except GraphInputError as exc:
+    except graphs.GraphInputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         code = EXIT_INPUT
-    except (ComputationBudgetError, RankCertificationError) as exc:
+    except (graphs.ComputationBudgetError, graphs.RankCertificationError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         code = EXIT_BUDGET
     sys.exit(code or 0)

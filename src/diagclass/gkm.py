@@ -18,17 +18,15 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .graphs import Graph, GraphInputError
-from .linalg import DEFAULT_MEM_BUDGET, SparseMatrix, check_rank_budget, eliminate
+from .graphs import DEFAULT_MEM_BUDGET, Graph, GraphInputError
+from .linalg import SparseMatrix, check_rank_budget, eliminate
 from .polynomials import Polynomial, series_expand_product
 
 
-@dataclass(frozen=True)
-class GkmGraph:
+class GkmGraph(NamedTuple):
     """Moment graph: permutation vertices, transposition edges with weights."""
 
     n: int
@@ -195,8 +193,7 @@ def known_betti_vector(g: Graph) -> Optional[tuple[int, ...]]:
     return None
 
 
-@dataclass(frozen=True)
-class GkmBettiReport:
+class GkmBettiReport(NamedTuple):
     graph: Graph
     field: str
     equivariant: tuple[int, ...]

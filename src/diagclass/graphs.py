@@ -10,27 +10,51 @@ the 3-sun).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class GraphInputError(ValueError):
     """Raised for malformed graph data (bad vertex labels, loops, ...)."""
 
 
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    edges: frozenset[tuple[int, int]]
+# The budget names live beside GraphInputError because every command loads
+# this module, and not every command loads `linalg`.
+class ComputationBudgetError(RuntimeError):
+    """A computation would exceed the configured memory/size budget."""
 
-    def __post_init__(self):
-        if self.n < 1:
+
+class RankCertificationError(RuntimeError):
+    """Modular ranks kept disagreeing beyond the retry budget."""
+
+
+DEFAULT_MEM_BUDGET = 2 * 1024**3
+
+
+class Graph:
+    """A pattern on the vertices 1..n; equal, and hashed alike, exactly
+    when (n, edges) agree."""
+
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+        if n < 1:
             raise GraphInputError("vertex count must be at least 1")
-        for i, j in self.edges:
-            if not (1 <= i < j <= self.n):
-                raise GraphInputError(f"bad edge ({i},{j}) for n={self.n}")
+        for i, j in edges:
+            if not (1 <= i < j <= n):
+                raise GraphInputError(f"bad edge ({i},{j}) for n={n}")
+        self.n = n
+        self.edges = edges
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
     # -- views ---------------------------------------------------------
 
@@ -148,8 +172,7 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> Graph:
 
 # -- forbidden induced subgraphs --------------------------------------
 
-@dataclass(frozen=True)
-class ForbiddenWitness:
+class ForbiddenWitness(NamedTuple):
     kind: str  # "cycle", "claw", "net", "sun3"
     length: Optional[int]  # cycle length when kind == "cycle"
     vertices: tuple[int, ...]

@@ -16,9 +16,8 @@ reversed, gives the lexicographically first valid ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .graphs import (
     ForbiddenWitness,
@@ -30,19 +29,31 @@ from .graphs import (
 from .polynomials import Polynomial
 
 
-@dataclass(frozen=True)
 class HessenbergFunction:
-    h: tuple[int, ...]
+    """A weakly increasing h with i <= h(i) <= n; equal, and hashed alike,
+    exactly when the tuples h agree."""
 
-    def __post_init__(self):
-        n = len(self.h)
+    def __init__(self, h: tuple[int, ...]):
+        n = len(h)
         if n == 0:
             raise GraphInputError("empty Hessenberg function")
-        for i, hi in enumerate(self.h, start=1):
+        for i, hi in enumerate(h, start=1):
             if hi < i or hi > n:
                 raise GraphInputError(f"h({i}) = {hi} outside [{i}, {n}]")
-        if any(self.h[i] > self.h[i + 1] for i in range(n - 1)):
+        if any(h[i] > h[i + 1] for i in range(n - 1)):
             raise GraphInputError("Hessenberg function must be weakly increasing")
+        self.h = h
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not HessenbergFunction:
+            return NotImplemented
+        return self.h == other.h
+
+    def __hash__(self) -> int:
+        return hash(self.h)
+
+    def __repr__(self) -> str:
+        return f"HessenbergFunction(h={self.h!r})"
 
     @property
     def n(self) -> int:
@@ -77,8 +88,7 @@ def hessenberg_to_graph(h: HessenbergFunction) -> Graph:
     return make_graph(h.n, edges)
 
 
-@dataclass(frozen=True)
-class IndifferenceCertificate:
+class IndifferenceCertificate(NamedTuple):
     """ordering[k-1] is the vertex receiving new label k."""
 
     ordering: tuple[int, ...]

@@ -14,11 +14,10 @@ deletions.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .graphs import Graph
-from .linalg import DEFAULT_MEM_BUDGET, SparseMatrix, check_rank_budget, eliminate
+from .graphs import DEFAULT_MEM_BUDGET, Graph
+from .linalg import SparseMatrix, check_rank_budget, eliminate
 from .posets import (
     SimplicialComplex,
     cluster_permutohedron,
@@ -95,8 +94,7 @@ def betti_numbers(
     return reduced_homology(sc, coeff, mem_budget)[0]
 
 
-@dataclass(frozen=True)
-class IntegralHomology:
+class IntegralHomology(NamedTuple):
     """free_rank[d] and torsion[d] (sorted divisibility chain, each > 1)."""
 
     free_rank: tuple[int, ...]

@@ -23,28 +23,17 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+
+from .graphs import DEFAULT_MEM_BUDGET, ComputationBudgetError, RankCertificationError
 
 # There is one GF(2) kernel, written in Python; the constant stays for
 # tools that record which kernel produced a measurement.
 HAVE_NATIVE_GF2 = False
 
 
-class ComputationBudgetError(RuntimeError):
-    """A computation would exceed the configured memory/size budget."""
-
-
-class RankCertificationError(RuntimeError):
-    """Modular ranks kept disagreeing beyond the retry budget."""
-
-
-DEFAULT_MEM_BUDGET = 2 * 1024**3
-
-@dataclass(frozen=True)
-class SparseMatrix:
+class SparseMatrix(NamedTuple):
     """Exact sparse matrix in coordinate form (0-based indices)."""
 
     rows: int
@@ -518,6 +507,8 @@ def solve_affine_system(
     In the reduced echelon form a coordinate is constant exactly when it
     is a pivot whose row has no entry in a free column.
     """
+    from fractions import Fraction
+
     rows, cols = a.rows, a.cols
     if len(b) != rows:
         raise ValueError("right-hand side length mismatch")

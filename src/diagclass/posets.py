@@ -11,13 +11,11 @@ edge subset, remembering which edges produced the blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
-from .graphs import Graph, GraphInputError
-from .linalg import ComputationBudgetError
+from .graphs import ComputationBudgetError, Graph, GraphInputError
 
 Clustering = frozenset[frozenset[int]]
 Assignment = frozenset[tuple[frozenset[int], frozenset[int]]]  # (block, labels)
@@ -71,16 +69,25 @@ def project_assignment(a: Assignment, coarser: Clustering) -> Assignment:
     return frozenset(out)
 
 
-@dataclass
 class GradedPoset:
-    """Finite poset given by elements with ranks and covering relations.
+    """Finite poset given by elements with ranks and covering relations;
+    equal exactly when (labels, rank, covers) agree.
 
     Element order is a linear extension (x < y implies index(x) < index(y)).
     """
 
-    labels: list
-    rank: list[int]
-    covers: list[tuple[int, int]]  # (lower, upper) index pairs
+    def __init__(self, labels: list, rank: list[int], covers: list[tuple[int, int]]):
+        self.labels = labels
+        self.rank = rank
+        self.covers = covers  # (lower, upper) index pairs
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GradedPoset:
+            return NotImplemented
+        return (self.labels, self.rank, self.covers) == (other.labels, other.rank, other.covers)
+
+    def __repr__(self) -> str:
+        return f"GradedPoset(labels={self.labels!r}, rank={self.rank!r}, covers={self.covers!r})"
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -358,11 +365,11 @@ def skeleton(p: GradedPoset, r: int) -> GradedPoset:
     )
 
 
-@dataclass
 class SimplicialComplex:
     """Full face list per dimension; faces are sorted vertex tuples."""
 
-    faces: list[list[tuple[int, ...]]]  # faces[d] = list of d-simplices
+    def __init__(self, faces: list[list[tuple[int, ...]]]):
+        self.faces = faces  # faces[d] = list of d-simplices
 
     @property
     def dim(self) -> int:

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from diagclass.abfp import (
     ConsistencyResult,
     _skeleton_homology_evidence,
     abfp_consistency_test,
-    assignment_multiplicity,
     compute_A,
     formality_report,
     inter_polynomial,
@@ -16,12 +16,22 @@ from diagclass.abfp import (
 from diagclass.graphs import (
     GraphInputError,
     connected_graphs_up_to_iso,
+    induced_subgraph,
     make_graph,
     named_graph,
 )
-from diagclass.hessenberg import is_indifference, recognize_indifference
+from diagclass.hessenberg import (
+    HessenbergFunction,
+    betti_polynomial_hessenberg,
+    connected_hessenberg_functions,
+    hessenberg_to_graph,
+    is_indifference,
+    recognize_indifference,
+    staircase_key,
+)
 from diagclass.linalg import ComputationBudgetError
-from diagclass.polynomials import Polynomial
+from diagclass.polynomials import Polynomial, poly_divide_exact
+from diagclass.posets import all_clusterings, assignment_multiplicity, clustering_rank
 
 T_MINUS_1 = Polynomial([-1, 1])
 
@@ -70,11 +80,40 @@ def test_A_degree_and_nonnegativity():
             assert all(c >= 0 for c in a.coeffs)
             # the identity B - Inter = A (t-1)^(n-1), re-checked explicitly
             if n > 1:
-                from diagclass.hessenberg import betti_polynomial_hessenberg
-
                 cert = recognize_indifference(g)
                 lhs = betti_polynomial_hessenberg(cert.h) - inter_polynomial(g)
                 assert lhs == a * T_MINUS_1 ** (n - 1)
+
+
+def _inter_face_by_face(g, A):
+    """Inter of g as the plain sum over its proper faces of the face's
+    multiplicity, A and power of (t-1); a face's A is the product of A over
+    its blocks' induced subgraphs, 1 on a single vertex."""
+    powers = [T_MINUS_1 ** r for r in range(g.n)]
+    out = Polynomial.zero()
+    for c in all_clusterings(g).labels:
+        if len(c) > 1:
+            face = Polynomial([assignment_multiplicity(c, g.n)])
+            for block in c:
+                if len(block) > 1:
+                    face = face * A(induced_subgraph(g, block))
+            out = out + face * powers[clustering_rank(c, g.n)]
+    return out
+
+
+def test_A_and_inter_match_the_face_by_face_sum():
+    # by induction on n: the blocks of a proper face have fewer vertices, and
+    # their A, checked earlier on the staircase of their class, are taken from
+    # compute_A (kept per graph, so each induced block is recognised once)
+    A = functools.cache(compute_A)
+    for n in range(2, 8):
+        for h in connected_hessenberg_functions(n):
+            g = hessenberg_to_graph(h)
+            lhs = betti_polynomial_hessenberg(h) - _inter_face_by_face(g, A)
+            assert compute_A(g) == poly_divide_exact(lhs, T_MINUS_1 ** (n - 1)), h
+    for name in ("net", "sun3"):
+        g = named_graph(name)
+        assert inter_polynomial(g) == _inter_face_by_face(g, A)
 
 
 def test_assignment_multiplicity():

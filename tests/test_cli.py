@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import functools
 import importlib
 import inspect
 import io
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import diagclass
-from diagclass import cli
+from diagclass import abfp, cli
 from diagclass.cli import BUDGET_ENV, EXIT_BUDGET, EXIT_INPUT, main
 from diagclass.graphs import connected_graphs_up_to_iso
 from diagclass.hessenberg import (
@@ -44,17 +45,27 @@ K6 = "6 15\n" + "".join(f"{i} {j}\n" for i in range(1, 7) for j in range(i + 1, 
 # the staircase h = (3, 4, 5, 6, 6, 6) with vertex k relabelled (5, 2, 6, 1, 4, 3)[k-1]
 STAIRCASE = "6 9\n2 5\n5 6\n2 6\n2 1\n6 1\n6 4\n1 4\n1 3\n4 3\n"
 
-# Runs the CLI in a fresh interpreter, then reports which of numpy, scipy
-# and click it loaded on the last line of stderr.
+SUN3 = "6 9\n1 2\n1 3\n2 3\n1 4\n2 4\n2 5\n3 5\n1 6\n3 6\n"
+
+# Runs the CLI in a fresh interpreter, then reports on the last line of
+# stderr which of numpy, scipy and click it loaded, which package layers
+# ran (a lazily bound module is a plain module once it has loaded; `cli`
+# itself is left out) and which of dataclasses, fractions and hashlib it
+# loaded.
 _IMPORT_PROBE = """
-import json, sys
+import json, sys, types
 from diagclass.cli import main
 try:
     main(sys.argv[1:], prog_name="diagclass")
 except SystemExit as exc:
     code = exc.code
-heavy = sorted({name.split(".")[0] for name in sys.modules} & {"numpy", "scipy", "click"})
-print(json.dumps(heavy), file=sys.stderr)
+loaded = {name for name, module in sys.modules.items() if type(module) is types.ModuleType}
+print(json.dumps({
+    "heavy": sorted({name.split(".")[0] for name in loaded} & {"numpy", "scipy", "click"}),
+    "layers": sorted(name.split(".")[1] for name in loaded - {"diagclass.cli"}
+                     if name.startswith("diagclass.")),
+    "stdlib": sorted(loaded & {"dataclasses", "fractions", "hashlib"}),
+}), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -270,7 +281,7 @@ def test_formality_rank_certification_error_exits_budget(runner, monkeypatch):
     def disagree(g, mem_budget):
         raise RankCertificationError("modular ranks disagree: [3, 4, 4]")
 
-    monkeypatch.setattr(cli, "formality_report", disagree)
+    monkeypatch.setattr(abfp, "formality_report", disagree)
     res = runner.invoke(main, ["formality", "-"], input=CLAW)
     assert res.exit_code == EXIT_BUDGET
     assert res.stderr == "budget exceeded: modular ranks disagree: [3, 4, 4]\n"
@@ -285,6 +296,13 @@ def test_batch_hessenberg(runner):
     assert len(lines) - 1 == 8
     res = runner.invoke(main, ["batch-hessenberg", "--max-n", "9"])
     assert res.exit_code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("max_n", ["0", "-2"])
+def test_batch_hessenberg_refuses_max_n_below_one(runner, max_n):
+    res = runner.invoke(main, ["batch-hessenberg", "--max-n", max_n])
+    assert (res.exit_code, res.stdout) == (EXIT_INPUT, "")
+    assert res.stderr == f"input error: --max-n must be at least 1, got {max_n}\n"
 
 
 def test_batch_hessenberg_rows_are_the_indifference_classes(runner):
@@ -436,7 +454,8 @@ def test_closed_stdout_exits_quietly():
     assert err == b""
 
 
-def _heavy_modules_loaded(args, stdin):
+@functools.cache
+def _probe(args: tuple, stdin: str) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, *args],
         input=stdin, capture_output=True, text=True, env=_child_env(), timeout=120,
@@ -445,24 +464,71 @@ def _heavy_modules_loaded(args, stdin):
     return json.loads(proc.stderr.splitlines()[-1])
 
 
-@pytest.mark.parametrize(
-    "args, stdin",
-    [
-        (["--version"], ""),
-        (["formality", "-"], CLAW),
-        (["formality", "-"], STAIRCASE),
-        (["gkm", "-", "--field", "f2"], CLAW),
-        (["clusterperm", "-", "--coeff", "z", "--skeleton", "2"], BULL),
-        (["gkm", "-", "--field", "q"], CYCLE4),
-        (["clusterperm", "-", "--coeff", "q"], CYCLE4),
-        (["batch-hessenberg", "--max-n", "4"], ""),
-    ],
-    ids=["version", "formality-claw", "formality-staircase", "gkm-f2-claw",
-         "clusterperm-z-bull", "gkm-q-cycle4", "clusterperm-q-cycle4",
-         "batch-hessenberg"],
-)
-def test_cli_runs_without_numpy_or_scipy(args, stdin):
-    assert _heavy_modules_loaded(args, stdin) == []
+# (arguments, stdin, layers the command runs, which of dataclasses,
+# fractions and hashlib it loads); hashlib hashes the input, and fractions
+# serves the orbit-space consistency test alone
+STAIRCASE_LAYERS = ["abfp", "graphs", "hessenberg", "polynomials"]
+_LOADS = {
+    "version": (["--version"], "", [], []),
+    "formality-claw": (["formality", "-"], CLAW, sorted(
+        STAIRCASE_LAYERS + ["homology", "linalg", "posets"]), ["hashlib"]),
+    "formality-staircase": (["formality", "-"], STAIRCASE, STAIRCASE_LAYERS, ["hashlib"]),
+    "gkm-f2-claw": (["gkm", "-", "--field", "f2"], CLAW,
+                    ["gkm", "graphs", "linalg", "polynomials"], ["hashlib"]),
+    "clusterperm-z-bull": (["clusterperm", "-", "--coeff", "z", "--skeleton", "2"], BULL,
+                           ["graphs", "homology", "linalg", "posets"], ["hashlib"]),
+    "gkm-q-cycle4": (["gkm", "-", "--field", "q"], CYCLE4,
+                     ["gkm", "graphs", "linalg", "polynomials"], ["hashlib"]),
+    "clusterperm-q-cycle4": (["clusterperm", "-", "--coeff", "q"], CYCLE4,
+                             ["graphs", "homology", "linalg", "posets"], ["hashlib"]),
+    "batch-hessenberg": (["batch-hessenberg", "--max-n", "4"], "",
+                         sorted(STAIRCASE_LAYERS + ["posets"]), []),
+    "formality-sun3": (["formality", "-"], SUN3, sorted(
+        STAIRCASE_LAYERS + ["gkm", "linalg", "posets"]), ["fractions", "hashlib"]),
+}
+
+
+@pytest.mark.parametrize("case", [case for case in _LOADS if case != "formality-sun3"])
+def test_cli_runs_without_numpy_or_scipy(case):
+    args, stdin, _, _ = _LOADS[case]
+    assert _probe(tuple(args), stdin)["heavy"] == []
+
+
+@pytest.mark.parametrize("case", list(_LOADS))
+def test_each_command_loads_only_what_it_runs(case):
+    args, stdin, layers, stdlib = _LOADS[case]
+    loads = _probe(tuple(args), stdin)
+    assert (loads["layers"], loads["stdlib"]) == (layers, stdlib)
+
+
+# Imports the CLI in a fresh interpreter as the benchmark's traced runner
+# does, then prints the benchmark layers missing from sys.modules and the
+# boundary names that do not resolve there to a function of their module.
+_TRACER_PROBE = """
+import inspect, json, sys
+import diagclass, diagclass.cli
+boundaries = json.loads(sys.argv[1])
+missing = [m for m in boundaries if f"diagclass.{m}" not in sys.modules]
+unresolved = [
+    f"{m}.{name}" for m, names in boundaries.items() if m not in missing for name in names
+    if not (inspect.isfunction(fn := getattr(sys.modules[f"diagclass.{m}"], name, None))
+            and fn.__module__ == f"diagclass.{m}")
+]
+print(json.dumps([missing, unresolved]))
+"""
+
+
+def test_cli_import_places_every_benchmark_layer_in_sys_modules():
+    # `perfbench/traced_cli.py` imports diagclass.cli, then wraps each
+    # boundary name in the module it finds in sys.modules
+    layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    boundaries = runpy.run_path(str(layers))["BOUNDARIES"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACER_PROBE, json.dumps(boundaries)],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]
 
 
 def test_benchmark_tracer_boundaries_resolve():
@@ -491,6 +557,35 @@ def test_only_linalg_names_the_kernels():
                 if getattr(node, field, None) in kernels:
                     named.add(f"{path.stem}.{getattr(node, field)}")
     assert named == set()
+
+
+def _runs_on_import(tree):
+    """The nodes of a module that run when it is imported: all but those
+    inside a function."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_costly_stdlib_modules_are_imported_where_used():
+    # a command that does not use dataclasses, fractions or hashlib does not
+    # pay for loading them
+    costly = {"dataclasses", "fractions", "hashlib"}
+    package = Path(diagclass.__file__).resolve().parent
+    found = []
+    for path in package.glob("*.py"):
+        for node in _runs_on_import(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.stem}: {name}" for name in names if name.split(".")[0] in costly]
+    assert found == []
 
 
 def test_package_root_holds_only_the_version():
