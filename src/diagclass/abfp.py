@@ -9,11 +9,11 @@ faces; the consistency test turns the same identity plus Poincare
 duality into a linear system whose forced consequences can contradict a
 computed Betti number - that contradiction is a formality obstruction.
 
-A formal pattern's verdict needs only recognition, so the module imports
-the layers of the evidence strategies (`homology`, `gkm`), of the face
-sums (`posets`) and of the affine solve (`linalg`, `fractions`) inside
-the functions that call them; its names for them are looked up when
-those functions run.
+A verdict needs only recognition, plus a lookup in `EVIDENCE` when the
+witness has a row there, so the module imports the layers of the evidence
+strategies (`homology`, `gkm`), of the face sums (`posets`) and of the
+affine solve (`linalg`, `fractions`) inside the functions that call them;
+its names for them are looked up when those functions run.
 """
 
 from __future__ import annotations
@@ -276,6 +276,26 @@ def _abfp_evidence(wg: Graph, mem_budget: int) -> Optional[dict]:
     }
 
 
+# The evidence of each finite witness shape, keyed by (kind, length): the
+# dict `_witness_evidence` computes on the shape's model graph under
+# DEFAULT_MEM_BUDGET, written out; tests/test_abfp.py recomputes every row.
+# C_k with k >= 7 has no row: every strategy exceeds the default budget.
+EVIDENCE = {
+    ("claw", None): {"kind": "skeleton_homology", "skeleton_rank": 2,
+                     "reduced_betti": [0, 2, 1], "h1": 2},
+    ("cycle", 4): {"kind": "skeleton_homology", "skeleton_rank": 2,
+                   "reduced_betti": [0, 3, 6], "h1": 3},
+    ("cycle", 5): {"kind": "skeleton_homology", "skeleton_rank": 2,
+                   "reduced_betti": [0, 4, 73], "h1": 4},
+    ("cycle", 6): {"kind": "skeleton_homology", "skeleton_rank": 2,
+                   "reduced_betti": [0, 5, 904], "h1": 5},
+    ("net", None): {"kind": "total_betti_mismatch", "total": 730, "fixed_points": 720,
+                    "poincare": [1, 20, 146, 396, 146, 20, 1], "field": "gf2"},
+    ("sun3", None): {"kind": "abfp_inconsistency", "beta2": 5, "beta4": 29,
+                     "forced_b2": "20", "detail": "forced b2 = 20 contradicts beta4 = 29"},
+}
+
+
 def formality_report(
     g: Graph, mem_budget: int = DEFAULT_MEM_BUDGET
 ) -> FormalityVerdict:
@@ -284,13 +304,9 @@ def formality_report(
     smallest forbidden witness, or undetermined if every strategy exceeds
     the budget.
 
-    The strategies run in an order fixed per witness kind, not by cost:
-    skeleton homology, then the moment-graph total Betti number, then the
-    orbit-space test (the total runs first on the net too, where it is the
-    slower).  The skeleton-homology obstruction is attempted only for claw
-    and cycle witnesses, where the rank-2 skeleton carries nonzero H1; the
-    rank-2 skeleta of the net and the 3-sun have no H1 over GF(2), so only
-    the moment-graph and orbit-space strategies are tried there.
+    The evidence of a witness with a row in `EVIDENCE` is a copy of that
+    row, whatever the budget; only a witness without one (a cycle of
+    length 7 or more) goes to `_witness_evidence` and the budget.
     """
     if not g.is_connected():
         raise GraphInputError("formality verdict requires a connected graph")
@@ -298,9 +314,14 @@ def formality_report(
     if isinstance(result, IndifferenceCertificate):
         return FormalityVerdict(g, "formal", result, None, {}, [])
     witness = result
-    evidence, attempts = _witness_evidence(witness.kind, witness.length, mem_budget)
-    if evidence is None:
-        return FormalityVerdict(g, "undetermined", None, witness, {}, attempts)
+    row = EVIDENCE.get((witness.kind, witness.length))
+    if row is not None:
+        # copied: a caller may change its verdict's lists, not the table's
+        evidence = {key: list(v) if isinstance(v, list) else v for key, v in row.items()}
+    else:
+        evidence, attempts = _witness_evidence(witness.kind, witness.length, mem_budget)
+        if evidence is None:
+            return FormalityVerdict(g, "undetermined", None, witness, {}, attempts)
     return FormalityVerdict(g, "nonformal", None, witness, evidence, [])
 
 
@@ -310,10 +331,18 @@ def _witness_evidence(
     """Evidence computed on the model graph of a witness shape, or None when
     every strategy exceeds the budget, with the refusals met on the way.
     Every evidence field is an isomorphism invariant of the witness, so the
-    shape and the budget determine it.
+    shape and the budget determine it.  This is how an `EVIDENCE` row is
+    recomputed, and the verdict path of a shape without a row.
 
-    The strategies are looked up when this runs, not when the module is
-    imported, so a rebinding of their names is seen.
+    The strategies run in an order fixed per witness kind, not by cost:
+    skeleton homology, then the moment-graph total Betti number, then the
+    orbit-space test (the total runs first on the net too, where it is the
+    slower).  The skeleton-homology obstruction is attempted only for claw
+    and cycle witnesses, where the rank-2 skeleton carries nonzero H1; the
+    rank-2 skeleta of the net and the 3-sun have no H1 over GF(2), so only
+    the moment-graph and orbit-space strategies are tried there.  They are
+    looked up when this runs, not when the module is imported, so a
+    rebinding of their names is seen.
     """
     wg = named_graph(kind, length)
     skeleton = ("skeleton_homology", _skeleton_homology_evidence)

@@ -1,3 +1,5 @@
+import collections
+import copy
 import functools
 import math
 from fractions import Fraction
@@ -7,13 +9,16 @@ import pytest
 from diagclass import abfp, homology
 from diagclass.abfp import (
     ConsistencyResult,
+    EVIDENCE,
     _skeleton_homology_evidence,
+    _witness_evidence,
     abfp_consistency_test,
     compute_A,
     formality_report,
     inter_polynomial,
 )
 from diagclass.graphs import (
+    DEFAULT_MEM_BUDGET,
     GraphInputError,
     connected_graphs_up_to_iso,
     induced_subgraph,
@@ -22,6 +27,7 @@ from diagclass.graphs import (
 )
 from diagclass.hessenberg import (
     HessenbergFunction,
+    IndifferenceCertificate,
     betti_polynomial_hessenberg,
     connected_hessenberg_functions,
     hessenberg_to_graph,
@@ -200,9 +206,9 @@ def test_formality_sun3_abfp_evidence():
 def test_formality_net_orbit_space_evidence():
     # this budget refuses the total-Betti strategy, so the orbit space
     # decides; nothing is forced there, and the detail names the clash b1 = 20
-    rep = formality_report(named_graph("net"), mem_budget=100_000_000)
-    assert rep.verdict == "nonformal"
-    assert rep.evidence == {
+    evidence, attempts = _witness_evidence("net", None, 100_000_000)
+    assert [a["strategy"] for a in attempts] == ["total_betti_mismatch"]
+    assert evidence == {
         "kind": "abfp_inconsistency",
         "beta2": 20,
         "beta4": 146,
@@ -212,15 +218,61 @@ def test_formality_net_orbit_space_evidence():
 
 
 def test_formality_undetermined_under_tiny_budget(monkeypatch):
-    # the budget refuses both moment-graph strategies, and the net's verdict
-    # comes without trying its acyclic skeleton
+    # the budget refuses both moment-graph strategies, and the net's
+    # recomputation gives up without trying its acyclic skeleton
     def untried(*args, **kwargs):
         raise AssertionError("skeleton strategy tried for a net")
 
     monkeypatch.setattr(abfp, "_skeleton_homology_evidence", untried)
-    rep = formality_report(named_graph("net"), mem_budget=1000)
-    assert rep.verdict == "undetermined"
-    assert rep.witness.kind == "net"
+    evidence, attempts = _witness_evidence("net", None, 1000)
+    assert evidence is None
+    assert [a["strategy"] for a in attempts] == ["total_betti_mismatch", "abfp_inconsistency"]
+
+
+@pytest.mark.parametrize("shape", list(EVIDENCE), ids=lambda shape: "-".join(map(str, shape)))
+def test_evidence_rows_match_the_strategies(shape):
+    # a row is what the strategies compute on the shape's model graph, in
+    # the order the CLI prints it
+    evidence, _ = _witness_evidence(*shape, DEFAULT_MEM_BUDGET)
+    assert list(evidence.items()) == list(EVIDENCE[shape].items())
+
+
+def test_evidence_rows_survive_a_changed_verdict():
+    for name in ("claw", "net"):
+        first = formality_report(named_graph(name))
+        expected = copy.deepcopy(first.evidence)
+        for value in first.evidence.values():
+            if isinstance(value, list):
+                value.append(-1)
+        first.evidence["kind"] = "changed"
+        assert formality_report(named_graph(name)).evidence == expected
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("strategy run for a witness with an evidence row")
+
+
+def test_every_witness_up_to_seven_vertices_is_a_lookup(monkeypatch):
+    # Roberts: a connected pattern that is not an indifference graph has a
+    # claw, a net, a 3-sun or a chordless C_k; at n <= 7 only C7 lacks a row
+    for name in ("_skeleton_homology_evidence", "_total_betti_evidence", "_abfp_evidence"):
+        monkeypatch.setattr(abfp, name, _raise)
+    shapes = collections.Counter()
+    for n in range(1, 8):
+        for g in connected_graphs_up_to_iso(n):
+            result = recognize_indifference(g)
+            if isinstance(result, IndifferenceCertificate):
+                continue
+            shapes[result.kind, result.length] += 1
+            if result.kind == "cycle" and result.length >= 7:
+                with pytest.raises(AssertionError, match="evidence row"):
+                    formality_report(g)
+                continue
+            rep = formality_report(g, mem_budget=0)
+            assert rep.verdict == "nonformal", g.sorted_edges()
+            assert rep.evidence == EVIDENCE[result.kind, result.length]
+    assert set(shapes) == {*EVIDENCE, ("cycle", 7)}
+    assert shapes["cycle", 7] == 1
 
 
 def test_net_rank_two_skeleton_has_no_h1():

@@ -36,6 +36,8 @@ K3 = "3 3\n1 2\n1 3\n2 3\n"
 CYCLE4 = "4 4\n1 2\n2 3\n3 4\n1 4\n"
 NET = "6 6\n1 2\n1 3\n2 3\n1 4\n2 5\n3 6\n"
 CYCLE6 = "6 6\n" + "".join(f"{i} {i % 6 + 1}\n" for i in range(1, 7))
+# C5 with vertex k relabelled to 1 + 2k mod 5
+CYCLE5_RELABELLED = "5 5\n" + "".join(f"{1 + 2 * i % 5} {1 + 2 * (i + 1) % 5}\n" for i in range(5))
 CYCLE7 = "7 7\n" + "".join(f"{i} {i % 7 + 1}\n" for i in range(1, 8))
 CYCLE9 = "9 9\n" + "".join(f"{i} {i % 9 + 1}\n" for i in range(1, 10))
 # C30 with vertex k relabelled to 1 + 7k mod 30 (7 is prime to 30)
@@ -211,17 +213,27 @@ def test_formality_nonformal(runner):
 
 
 def test_formality_undetermined_exit_code(runner):
-    res = runner.invoke(main, ["formality", "-", "--mem-budget", "1000"], input=NET)
+    res = runner.invoke(main, ["formality", "-", "--mem-budget", "1000"], input=CYCLE7)
     assert res.exit_code == EXIT_BUDGET
     assert '"verdict": "undetermined"' in res.output
 
 
 def test_formality_budget_env(runner, monkeypatch):
     monkeypatch.setenv(BUDGET_ENV, "1000")
-    res = runner.invoke(main, ["formality", "-"], input=NET)
+    res = runner.invoke(main, ["formality", "-"], input=CYCLE7)
     assert res.exit_code == EXIT_BUDGET
     out = json.loads(res.output)
     assert out["config"]["mem_budget"] == 1000
+
+
+def test_formality_net_verdict_does_not_depend_on_the_budget(runner):
+    # the net's evidence is a row of the table, not a computation the
+    # budget could refuse
+    res = runner.invoke(main, ["formality", "-", "--mem-budget", "20000000"], input=NET)
+    assert res.exit_code == 0
+    out = json.loads(res.stdout)
+    assert out["verdict"] == "nonformal"
+    assert (out["evidence"]["kind"], out["evidence"]["total"]) == ("total_betti_mismatch", 730)
 
 
 def test_formality_long_cycle_is_undetermined(runner):
@@ -466,12 +478,12 @@ def _probe(args: tuple, stdin: str) -> dict:
 
 # (arguments, stdin, layers the command runs, which of dataclasses,
 # fractions and hashlib it loads); hashlib hashes the input, and fractions
-# serves the orbit-space consistency test alone
+# serves the orbit-space consistency test alone, which no witness with an
+# evidence row runs
 STAIRCASE_LAYERS = ["abfp", "graphs", "hessenberg", "polynomials"]
 _LOADS = {
     "version": (["--version"], "", [], []),
-    "formality-claw": (["formality", "-"], CLAW, sorted(
-        STAIRCASE_LAYERS + ["homology", "linalg", "posets"]), ["hashlib"]),
+    "formality-claw": (["formality", "-"], CLAW, STAIRCASE_LAYERS, ["hashlib"]),
     "formality-staircase": (["formality", "-"], STAIRCASE, STAIRCASE_LAYERS, ["hashlib"]),
     "gkm-f2-claw": (["gkm", "-", "--field", "f2"], CLAW,
                     ["gkm", "graphs", "linalg", "polynomials"], ["hashlib"]),
@@ -483,12 +495,14 @@ _LOADS = {
                              ["graphs", "homology", "linalg", "posets"], ["hashlib"]),
     "batch-hessenberg": (["batch-hessenberg", "--max-n", "4"], "",
                          sorted(STAIRCASE_LAYERS + ["posets"]), []),
-    "formality-sun3": (["formality", "-"], SUN3, sorted(
-        STAIRCASE_LAYERS + ["gkm", "linalg", "posets"]), ["fractions", "hashlib"]),
+    "formality-sun3": (["formality", "-"], SUN3, STAIRCASE_LAYERS, ["hashlib"]),
+    "formality-net": (["formality", "-"], NET, STAIRCASE_LAYERS, ["hashlib"]),
+    "formality-cycle5-relabelled": (["formality", "-"], CYCLE5_RELABELLED,
+                                    STAIRCASE_LAYERS, ["hashlib"]),
 }
 
 
-@pytest.mark.parametrize("case", [case for case in _LOADS if case != "formality-sun3"])
+@pytest.mark.parametrize("case", list(_LOADS))
 def test_cli_runs_without_numpy_or_scipy(case):
     args, stdin, _, _ = _LOADS[case]
     assert _probe(tuple(args), stdin)["heavy"] == []
