@@ -117,7 +117,8 @@ def _nonnegative(text: str) -> int:
 _SOURCE = (("source",), {})
 _FORMAT = (("--format",), dict(dest="fmt", choices=["json", "text"], default="json"))
 _BUDGET = (("--mem-budget",), dict(
-    type=int, help=f"Memory budget in bytes (default from ${BUDGET_ENV} or 2 GiB)."))
+    type=int, help=f"Memory budget in bytes for the rank kernels (default from ${BUDGET_ENV} "
+                   "or 2 GiB); over Z the Smith normal form is bounded by its size cap instead."))
 _SKELETON = (("--skeleton",), dict(
     dest="skeleton_rank", metavar="R", type=_nonnegative, help="Restrict to faces of rank <= R."))
 

@@ -176,10 +176,12 @@ def kernel_matrix_shape(n: int, pattern_edges: int, degree: int) -> tuple[int, i
 
 def check_kernel_budget(g: Graph, max_degree: int, field: str, mem_budget: int) -> None:
     """Refuse, before the n! moment graph is built, if the rank over `field`
-    of any of L_0..L_max_degree would be charged more than the budget."""
+    of any of L_0..L_max_degree would be charged more than the budget.
+    Each of the n! |E| / 2 moment-graph edges puts two entries in L_i per
+    monomial of its columns, so L_i has cols * |E| entries."""
     for i in range(max_degree + 1):
         rows, cols = kernel_matrix_shape(g.n, g.num_edges, i)
-        check_rank_budget(rows, cols, field, mem_budget, f"L_{i}")
+        check_rank_budget(rows, cols, cols * g.num_edges, field, mem_budget, f"L_{i}")
 
 
 def known_betti_vector(g: Graph) -> Optional[tuple[int, ...]]:

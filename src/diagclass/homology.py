@@ -54,9 +54,10 @@ def check_homology_budget(
 ) -> None:
     """Refuse, from the face counts alone, a complex one of whose boundary
     maps d_0, d_1, ... `reduced_homology` would refuse to eliminate over
-    coeff, naming it."""
+    coeff, naming it; each d-face puts d + 1 entries in d_d."""
     for d, cols in enumerate(face_counts):
-        check_rank_budget(face_counts[d - 1] if d else 1, cols, coeff, mem_budget, f"d_{d}")
+        rows = face_counts[d - 1] if d else 1
+        check_rank_budget(rows, cols, (d + 1) * cols, coeff, mem_budget, f"d_{d}")
 
 
 def reduced_homology(

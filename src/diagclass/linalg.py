@@ -14,19 +14,19 @@ primes, reduced as dicts and certified by agreement across primes.  The
 rank is exact, because rank(G + R) = rank(G) + rank(R modulo span G).
 This is the graph step of structured Gaussian elimination (LaMacchia and
 Odlyzko, 1990).  The rest of the package eliminates a map only through
-`eliminate`, which picks the ring's kernel.  The module uses only the
-standard library.
+`eliminate`, which prices it from its shape and entry count
+(`check_rank_budget`) and picks the ring's kernel; the kernels take no
+budget.  The module uses only the standard library.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .graphs import DEFAULT_MEM_BUDGET, ComputationBudgetError, RankCertificationError
+from .graphs import ComputationBudgetError, RankCertificationError
 
 # There is one GF(2) kernel, written in Python; the constant stays for
 # tools that record which kernel produced a measurement.
@@ -85,39 +85,38 @@ def gf2_packed_bytes(rows: int, cols: int) -> int:
     return rows * ((cols + 63) // 64) * 8
 
 
-def rational_rank_bytes(rows: int, cols: int) -> int:
-    """Bytes the budget charges a rank over Q, from the shape alone:
-    8 * s * (s + 32) + 24 * t + 4096 for t = max(rows, cols) and
-    s = min(rows, cols).
+def rational_rank_bytes(rows: int, cols: int, nnz: int) -> int:
+    """Bytes the budget charges a rank over Q, from the shape and the
+    number of entries: 8 * s * (s + 32) + 24 * t + 8 * nnz + 4096 for
+    t = max(rows, cols) and s = min(rows, cols).
 
     The first term bounds the pivots of `rank_mod_p`: at most s of them,
     each with at most s entries of 8 bytes and about 256 bytes of Python
     objects, which also covers the row being reduced.  The second bounds
-    the grouping temporaries of a matrix with at most t entries: the row
-    starts, 8 bytes per row of the tall orientation (twice while they are
-    summed), and the grouped entries, 8 bytes each.  A matrix with more
-    entries is grouped in passes that fit the budget the charge leaves.
-    The last is the kernel's fixed overhead.
+    what `_contract` keeps per row of the tall orientation: its count and
+    its start, 8 bytes each and held together while the starts are
+    summed, and a flag.  The third bounds the grouped copy of the long
+    rows' entries, 8 bytes each.  The last is the kernel's fixed overhead.
     """
     tall, short = max(rows, cols), min(rows, cols)
-    return 8 * short * (short + 32) + 24 * tall + 4096
+    return 8 * short * (short + 32) + 24 * tall + 8 * nnz + 4096
 
 
 # the largest side of a matrix the Smith normal form is attempted on
 SNF_SIZE_CAP = 200_000
 
-# field -> (bytes its rank kernel is charged for a shape, how they are held)
-_CHARGES = {
-    "gf2": (gf2_packed_bytes, "packed"),
-    "rational": (rational_rank_bytes, "for its rank over Q"),
-}
 
+def check_rank_budget(
+    rows: int, cols: int, nnz: int, field: str, mem_budget: int, name: str
+) -> None:
+    """Refuse a map with `nnz` entries whose rank over `field` would be
+    charged more than the budget, in one sentence that names the map,
+    `name`: the packed matrix over "gf2", `rational_rank_bytes` over
+    "rational"; over "integer" the Smith normal form is bounded by
+    SNF_SIZE_CAP on the longest side instead of the budget.
 
-def check_rank_budget(rows: int, cols: int, field: str, mem_budget: int, name: str) -> None:
-    """Refuse, from the shape alone, what `rank_gf2` (field "gf2"),
-    `rank_mod_p` (field "rational") or `smith_normal_form` (field
-    "integer", bounded by SNF_SIZE_CAP instead of the budget) would refuse,
-    in one sentence that names the map, `name`."""
+    `eliminate` calls this for the map it is given, and the pre-checks of
+    `homology` and `gkm` for the maps they will build, from counts."""
     if field == "integer":
         if max(rows, cols) > SNF_SIZE_CAP:
             raise ComputationBudgetError(
@@ -125,10 +124,12 @@ def check_rank_budget(rows: int, cols: int, field: str, mem_budget: int, name: s
                 f"over the Smith normal form cap {SNF_SIZE_CAP}"
             )
         return
-    if field not in _CHARGES:
+    if field == "gf2":
+        need, held = gf2_packed_bytes(rows, cols), "packed"
+    elif field == "rational":
+        need, held = rational_rank_bytes(rows, cols, nnz), "for its rank over Q"
+    else:
         raise ValueError(f"unknown field {field!r}")
-    charge, held = _CHARGES[field]
-    need = charge(rows, cols)
     if need > mem_budget:
         raise ComputationBudgetError(
             f"{name} needs a {rows}x{cols} matrix ({need} bytes {held}), budget {mem_budget}"
@@ -223,9 +224,7 @@ def _link_short_rows(
     return links, array("q", (index[parent[c]] for c in range(sink))), weight
 
 
-def _contract(
-    m: SparseMatrix, p: int, cap: int
-) -> tuple[int, int, Iterator[tuple[array, array]]]:
+def _contract(m: SparseMatrix, p: int) -> tuple[int, int, Iterator[tuple[array, array]]]:
     """Contract the short rows of m's tall orientation, those with at most
     two entries that p does not divide, and map its long rows onto what
     is left, over the integers mod a prime p.
@@ -241,10 +240,8 @@ def _contract(
     add up.
 
     A counting sort groups the long rows' entries: one pass counts them,
-    `accumulate` gives the row starts, and one pass places them, moving
-    each row's start to its end.  Consecutive rows are placed together
-    while they hold at most `cap` entries, which must be at least the
-    width of a row; each such group costs one pass over the entries.
+    `accumulate` gives the row starts, and one pass, skipped when no row
+    is long, places them, moving each row's start to its end.
     """
     work = m if m.cols <= m.rows else m.transpose()
     count = array("q", bytes(8 * (work.rows + 1)))
@@ -257,38 +254,33 @@ def _contract(
     del count
 
     def rows() -> Iterator[tuple[array, array]]:
-        top = 0
-        while starts[top] < starts[-1]:
-            first, base = top, starts[top]
-            top = bisect_right(starts, base + cap, first + 1) - 1
-            placed = bytearray(work.rows)  # the group's long rows
-            placed[first:top] = long_row[first:top]
-            cols = array("i", bytes(4 * (starts[top] - base)))
-            vals = array("i", bytes(4 * (starts[top] - base)))
-            for r, c, v in zip(work.row, work.col, work.val):
-                if placed[r]:
-                    v %= p
-                    if v:
-                        if links:
-                            v = v * weight[c] % p
-                            c = target[c]
-                        k = starts[r]
-                        cols[k - base] = c
-                        vals[k - base] = v
-                        starts[r] = k + 1
-            start = 0
-            for r in range(first, top):
-                end = starts[r] - base
-                if end > start:
-                    yield cols[start:end], vals[start:end]
-                start = end
+        if not starts[-1]:
+            return
+        cols = array("i", [0]) * starts[-1]
+        vals = array("i", [0]) * starts[-1]
+        for r, c, v in zip(work.row, work.col, work.val):
+            if long_row[r]:
+                v %= p
+                if v:
+                    if links:
+                        v = v * weight[c] % p
+                        c = target[c]
+                    k = starts[r]
+                    cols[k] = c
+                    vals[k] = v
+                    starts[r] = k + 1
+        start = 0
+        for end in islice(starts, work.rows):
+            if end > start:
+                yield cols[start:end], vals[start:end]
+            start = end
 
     return links, work.cols - links, rows()
 
 
 # -- GF(2) ------------------------------------------------------------
 
-def rank_gf2(m: SparseMatrix, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
+def rank_gf2(m: SparseMatrix) -> int:
     """Exact rank over the 2-element field.
 
     The rows of the tall orientation with at most two odd entries are
@@ -299,8 +291,7 @@ def rank_gf2(m: SparseMatrix, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
     pivots are at most k bitsets of k bits, k <= min(rows, cols), never
     more bits than the packed matrix the budget charges.
     """
-    check_rank_budget(m.rows, m.cols, "gf2", mem_budget, "rank_gf2")
-    rank, width, rows = _contract(m, 2, m.nnz)
+    rank, width, rows = _contract(m, 2)
     pivots = [0] * (width + 1)  # pivots[k]: the pivot whose highest bit is k - 1
     for cols, vals in rows:
         x = 0
@@ -319,12 +310,12 @@ def rank_gf2(m: SparseMatrix, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
 
 # -- rank over Q ------------------------------------------------------
 
-# Primes in (2^21, 2^22): residues fit `array('i')` with room to spare,
+# Primes in (2^21, 2^22): residues fit `array('i')` with bits left over,
 # and a prime this large rarely divides the minors of a small-entry matrix.
 _PRIME_POOL = [2097593, 2097211, 2098081, 2097823, 2098481, 2099251]
 
 
-def rank_mod_p(m: SparseMatrix, p: int, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
+def rank_mod_p(m: SparseMatrix, p: int) -> int:
     """Rank of an integer matrix modulo a prime p < 2^31.
 
     Built like `rank_gf2`: the rows of the tall orientation with at most
@@ -336,13 +327,9 @@ def rank_mod_p(m: SparseMatrix, p: int, mem_budget: int = DEFAULT_MEM_BUDGET) ->
     1, which its key implies, and negated, so that reducing by it is an
     addition; its other entries are stored as two `array('i')`, columns
     and residues, at 8 bytes an entry.  The peak stays under
-    `rational_rank_bytes` for a matrix with at most max(rows, cols)
-    entries, and under the budget for any matrix: the entries are grouped
-    in as few passes as the budget left over allows.
+    `rational_rank_bytes`.
     """
-    check_rank_budget(m.rows, m.cols, "rational", mem_budget, "rank_mod_p")
-    spare = mem_budget - rational_rank_bytes(m.rows, m.cols)
-    rank, width, rows = _contract(m, p, max(m.rows, m.cols) + spare // 8)
+    rank, width, rows = _contract(m, p)
     pivot_cols: list[Optional[array]] = [None] * width
     pivot_vals: list[Optional[array]] = [None] * width
     for cols, vals in rows:
@@ -373,7 +360,7 @@ def rank_mod_p(m: SparseMatrix, p: int, mem_budget: int = DEFAULT_MEM_BUDGET) ->
     return rank
 
 
-def rank_rational(m: SparseMatrix, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
+def rank_rational(m: SparseMatrix) -> int:
     """Exact rank over Q, from ranks modulo word-size primes.
 
     A rank mod p never exceeds the rank r over Q, and falls below it only
@@ -381,10 +368,10 @@ def rank_rational(m: SparseMatrix, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
     rank; otherwise three more are tried, and the highest rank is returned
     if at least three of the six reach it.
     """
-    ranks = [rank_mod_p(m, p, mem_budget) for p in _PRIME_POOL[:3]]
+    ranks = [rank_mod_p(m, p) for p in _PRIME_POOL[:3]]
     if len(set(ranks)) == 1:
         return ranks[0]
-    ranks += [rank_mod_p(m, p, mem_budget) for p in _PRIME_POOL[3:]]
+    ranks += [rank_mod_p(m, p) for p in _PRIME_POOL[3:]]
     best = max(ranks)
     if ranks.count(best) >= 3:
         return best
@@ -407,7 +394,6 @@ def smith_normal_form(m: SparseMatrix) -> tuple[int, ...]:
     insertion; pivots equal to 1, the common case on boundary maps, stay
     at the front of the chain and need no folding.
     """
-    check_rank_budget(m.rows, m.cols, "integer", DEFAULT_MEM_BUDGET, "smith_normal_form")
     rows: dict[int, dict[int, int]] = {}  # rows[r][c]: the nonzero entries
     cols: dict[int, set[int]] = {}  # cols[c]: rows with an entry in column c
     for r, c, v in zip(m.row, m.col, m.val):
@@ -483,17 +469,19 @@ def eliminate(
     the integers its Smith divisors above 1; the one way the package
     eliminates a map.
 
-    m is checked against the budget first, in a refusal that names the
-    map `name`, and an empty map has rank 0.  The kernels are looked up
-    when this runs, so a rebinding of their names in this module is seen.
+    This is the one place a map is priced: m, with its shape and its
+    entries, is checked against the budget first (`check_rank_budget`),
+    in a refusal that names the map `name`, and the kernels take no
+    budget.  An empty map has rank 0.  The kernels are looked up when
+    this runs, so a rebinding of their names in this module is seen.
     """
-    check_rank_budget(m.rows, m.cols, ring, mem_budget, name)
+    check_rank_budget(m.rows, m.cols, m.nnz, ring, mem_budget, name)
     if not (m.rows and m.cols):
         return 0, ()
     if ring == "integer":
         divisors = smith_normal_form(m)
         return len(divisors), tuple(d for d in divisors if d > 1)
-    return (rank_gf2 if ring == "gf2" else rank_rational)(m, mem_budget=mem_budget), ()
+    return (rank_gf2 if ring == "gf2" else rank_rational)(m), ()
 
 
 # -- exact affine systems --------------------------------------------

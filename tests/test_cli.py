@@ -428,7 +428,7 @@ def test_gkm_budget_exit(runner):
     assert res.exit_code == EXIT_BUDGET
     assert res.stderr == (
         "budget exceeded: L_3 needs a 75600x40320 matrix "
-        "(13017759616 bytes for its rank over Q), budget 2147483648\n"
+        "(13019694976 bytes for its rank over Q), budget 2147483648\n"
     )
 
 

@@ -203,7 +203,7 @@ def test_budget_precheck_charges_by_field(monkeypatch):
     with pytest.raises(ComputationBudgetError) as ei:
         gkm_total_betti(named_graph("net"), field="rational", mem_budget=2 * 1024**3)
     assert str(ei.value) == (
-        "L_3 needs a 75600x40320 matrix (13017759616 bytes for its rank over Q), "
+        "L_3 needs a 75600x40320 matrix (13019694976 bytes for its rank over Q), "
         "budget 2147483648"
     )
     with pytest.raises(ComputationBudgetError) as series:

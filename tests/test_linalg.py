@@ -7,10 +7,10 @@ from operator import mul
 
 import pytest
 
-from diagclass import linalg
-from diagclass.gkm import build_gkm_graph, kernel_matrix
-from diagclass.graphs import connected_graphs_up_to_iso, named_graph
-from diagclass.homology import boundary_matrix
+from diagclass import gkm, homology, linalg
+from diagclass.gkm import build_gkm_graph, equivariant_betti_series, kernel_matrix
+from diagclass.graphs import DEFAULT_MEM_BUDGET, connected_graphs_up_to_iso, named_graph
+from diagclass.homology import boundary_matrix, poset_homology
 from diagclass.linalg import (
     ComputationBudgetError,
     RankCertificationError,
@@ -205,9 +205,17 @@ def test_rank_gf2_against_bitset_oracle():
 
 
 def test_rank_gf2_budget():
+    # the packed 2 x 2 matrix is one word per row
     m = sparse_from_dense([[1, 0], [0, 1]])
-    with pytest.raises(ComputationBudgetError):
-        rank_gf2(m, mem_budget=1)
+    want = "m needs a 2x2 matrix (16 bytes packed), budget 15"
+    for refuse in (
+        lambda: eliminate(m, "gf2", 15, "m"),
+        lambda: check_rank_budget(2, 2, 2, "gf2", 15, "m"),
+    ):
+        with pytest.raises(ComputationBudgetError) as ei:
+            refuse()
+        assert str(ei.value) == want
+    assert eliminate(m, "gf2", 16, "m") == (2, ())
 
 
 @pytest.fixture(scope="module")
@@ -247,7 +255,11 @@ def test_rank_gf2_suite_matrices(suite_matrices):
 
 
 def test_rank_gf2_peak_memory_within_charge(suite_matrices):
-    for name, m in suite_matrices.items():
+    """The two tightest charges, C5's d_2 (peak 2.6 times below) and
+    sun3's L_0 (4.4 times), of each shape class; the others are more than
+    20 times below, and cost seconds each under tracemalloc."""
+    for name in ("sun3 L_0", "sun3 L_1", "C5 skeleton d_2", "C5 skeleton d_3"):
+        m = suite_matrices[name]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -268,7 +280,7 @@ def test_contraction_leaves_few_rows_and_columns(suite_matrices):
         ("C5 skeleton d_2", 2, 0, 6750, 13200),
     ):
         m = suite_matrices[name]
-        got, k, rows = linalg._contract(m, p, m.nnz)
+        got, k, rows = linalg._contract(m, p)
         assert (got, k, sum(1 for _ in rows)) == (links, width, long_rows), name
 
 
@@ -325,7 +337,7 @@ def test_contraction_maps_a_long_row_to_zero():
     for dense, links, width in ((shared_roots, 2, 2), (sink, 3, 1)):
         m = sparse_from_dense(dense)
         for p in (2, 3, PRIME):
-            got, k, rows = linalg._contract(m, p, m.nnz)
+            got, k, rows = linalg._contract(m, p)
             assert (got, k) == (links, width)
             [(cols, vals)] = list(rows)
             assert len(cols) == 4
@@ -366,9 +378,11 @@ def test_rank_mod_p_against_fraction_oracle():
         # small entries: rank mod a 21-bit prime equals the rational rank
         m = sparse_from_dense(dense)
         assert rank_mod_p(m, PRIME) == fraction_rank(dense)
-        # a budget at the charge groups the entries in several passes
-        tight = rational_rank_bytes(rows, cols)
-        assert rank_mod_p(m, PRIME, mem_budget=tight) == fraction_rank(dense)
+        # the door takes a budget of exactly the charge, and refuses one less
+        charge = rational_rank_bytes(rows, cols, m.nnz)
+        assert eliminate(m, "rational", charge, "m") == (fraction_rank(dense), ())
+        with pytest.raises(ComputationBudgetError, match=rf"^m needs .*\({charge} bytes"):
+            eliminate(m, "rational", charge - 1, "m")
 
 
 def low_rank_product(rng, rows, cols, rank):
@@ -393,7 +407,7 @@ def test_rank_mod_p_low_rank_product():
 
 
 def test_rank_mod_p_tall_low_rank_product():
-    m = low_rank_product(random.Random(12), 5000, 150, 60)
+    m = low_rank_product(random.Random(12), 1200, 150, 60)
     assert rank_mod_p(m, PRIME) == 60
 
 
@@ -429,7 +443,7 @@ def test_rank_rational_prime_agreement(monkeypatch):
 
     def fake_ranks(ranks):
         it = iter(ranks)
-        monkeypatch.setattr(linalg, "rank_mod_p", lambda m, p, mem_budget: next(it))
+        monkeypatch.setattr(linalg, "rank_mod_p", lambda m, p: next(it))
 
     fake_ranks([2, 1, 2, 2, 1, 2])
     assert rank_rational(m) == 2
@@ -440,43 +454,89 @@ def test_rank_rational_prime_agreement(monkeypatch):
 
 def test_rank_rational_refusal_message():
     m = sparse_from_dense([[1, 2, 3], [4, 5, 6]])
-    assert rational_rank_bytes(2, 3) == 8 * 2 * 34 + 24 * 3 + 4096
-    budget = rational_rank_bytes(2, 3) - 1
-    want = f"rank_mod_p needs a 2x3 matrix ({budget + 1} bytes for its rank over Q), budget {budget}"
+    assert rational_rank_bytes(2, 3, 6) == 8 * 2 * 34 + 24 * 3 + 8 * 6 + 4096
+    budget = rational_rank_bytes(2, 3, 6) - 1
+    want = f"d_1 needs a 2x3 matrix ({budget + 1} bytes for its rank over Q), budget {budget}"
     for refuse in (
-        lambda: rank_rational(m, mem_budget=budget),
-        lambda: rank_mod_p(m, PRIME, mem_budget=budget),
-        lambda: check_rank_budget(2, 3, "rational", budget, "rank_mod_p"),
+        lambda: eliminate(m, "rational", budget, "d_1"),
+        lambda: check_rank_budget(2, 3, 6, "rational", budget, "d_1"),
     ):
         with pytest.raises(ComputationBudgetError) as ei:
             refuse()
         assert str(ei.value) == want
-    assert rank_rational(m, mem_budget=budget + 1) == 2
+    assert eliminate(m, "rational", budget + 1, "d_1") == (2, ())
 
 
-def test_rank_mod_p_peak_memory_within_charge():
+def test_rank_mod_p_peak_memory_within_charge(suite_matrices):
+    """One kernel run per matrix, each under the charge `eliminate` refuses
+    one byte below.  The dense matrices are the tightest: the 80 x 80
+    one's pivots hold 80 * 81 / 2 entries, and the tall product's grouped
+    copy of its entries is most of its charge.  The product has rank 2,
+    since tracemalloc's cost grows with the echelon's work: 2.8 s at rank
+    2 and 68 s at rank 60, same shape, on a 2-core Xeon."""
     star = kernel_matrix(build_gkm_graph(named_graph("star", 4)), 2)
     n = 20_000
     augmentation = SparseMatrix.from_triples(1, n, ((0, j, 1) for j in range(n)))
-    # full rank, so the pivots hold 80 * 81 / 2 entries; a budget at the
-    # charge groups its 6,400 entries 80 at a time
     rng = random.Random(5)
     dense = SparseMatrix.from_triples(
         80, 80, [(i, j, rng.randint(1, 9)) for i in range(80) for j in range(80)]
     )
-    for m, rank, budget in (
-        (star, 1639, linalg.DEFAULT_MEM_BUDGET),
-        (augmentation, 1, linalg.DEFAULT_MEM_BUDGET),
-        (dense, 80, rational_rank_bytes(80, 80)),
+    product = low_rank_product(random.Random(12), 1200, 150, 2)
+    for name, m, rank in (
+        ("L_2", star, 1639),
+        ("d_0", augmentation, 1),
+        ("dense", dense, 80),
+        ("d_2", suite_matrices["C5 skeleton d_2"], 6002),
+        ("product", product, 2),
     ):
+        charge = rational_rank_bytes(m.rows, m.cols, m.nnz)
+        check_rank_budget(m.rows, m.cols, m.nnz, "rational", charge, name)
+        with pytest.raises(ComputationBudgetError, match=rf"^{name} needs .*\({charge} bytes"):
+            eliminate(m, "rational", charge - 1, name)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            assert rank_mod_p(m, PRIME, mem_budget=budget) == rank
+            assert rank_mod_p(m, PRIME) == rank
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < rational_rank_bytes(m.rows, m.cols)
+        assert peak < charge, name
+
+
+def test_precheck_prices_what_the_door_prices(monkeypatch):
+    """The pre-checks of `homology` and `gkm` give `check_rank_budget` the
+    shape and entry count, from counts, that `eliminate` gives it for the
+    built map, so a refusal from counts names the bytes the door would:
+    both posets of every connected pattern with n <= 4, the C5 rank-3
+    skeleton, and L_0..L_2 of every connected pattern with n <= 4."""
+    priced = {"pre": [], "door": []}
+
+    def recorder(site):
+        def check(rows, cols, nnz, field, mem_budget, name):
+            priced[site].append((rows, cols, nnz, field, name))
+        return check
+
+    monkeypatch.setattr(homology, "check_rank_budget", recorder("pre"))
+    monkeypatch.setattr(gkm, "check_rank_budget", recorder("pre"))
+    monkeypatch.setattr(linalg, "check_rank_budget", recorder("door"))
+    monkeypatch.setattr(linalg, "rank_rational", lambda m: 0)
+    budget = DEFAULT_MEM_BUDGET
+    runs = [
+        (poset_homology, (g, kind, None, "rational", budget))
+        for n in range(1, 5) for g in connected_graphs_up_to_iso(n)
+        for kind in ("cluster", "graphic")
+    ] + [(poset_homology, (named_graph("cycle", 5), "cluster", 3, "rational", budget))] + [
+        (equivariant_betti_series, (g, 2, "rational", budget))
+        for n in range(2, 5) for g in connected_graphs_up_to_iso(n)
+    ]
+    maps = 0
+    for run, args in runs:
+        priced["pre"].clear()
+        priced["door"].clear()
+        run(*args)
+        assert set(priced["pre"]) == set(priced["door"]), args
+        maps += len(priced["door"])
+    assert maps == 105
 
 
 def test_smith_normal_form_fixtures():
