@@ -21,7 +21,13 @@ from array import array
 from itertools import combinations_with_replacement, permutations
 from typing import NamedTuple, Optional
 
-from .graphs import DEFAULT_MEM_BUDGET, Graph, GraphInputError
+from .graphs import (
+    DEFAULT_MEM_BUDGET,
+    ELEMENT_CAP,
+    ComputationBudgetError,
+    Graph,
+    GraphInputError,
+)
 from .linalg import SparseMatrix, check_rank_budget, eliminate
 from .polynomials import Polynomial, series_expand_product
 
@@ -54,10 +60,13 @@ class GkmGraph(NamedTuple):
 
 def build_gkm_graph(g: Graph) -> GkmGraph:
     """Cayley-type moment graph; tail of each edge is the lexicographically
-    smaller one-line permutation."""
+    smaller one-line permutation.  Refused, before any permutation is
+    listed, when its n! vertices exceed the element cap."""
     if not g.is_connected():
         raise GraphInputError("moment graph requires a connected pattern")
     n = g.n
+    if math.factorial(n) > ELEMENT_CAP:
+        raise ComputationBudgetError(f"moment graph would exceed {ELEMENT_CAP} elements")
     perms = tuple(permutations(range(1, n + 1)))
     index = {p: i for i, p in enumerate(perms)}
     edges = []

@@ -30,6 +30,8 @@ class RankCertificationError(RuntimeError):
 
 
 DEFAULT_MEM_BUDGET = 2 * 1024**3
+# elements an assignment poset, or vertices a moment graph, may have
+ELEMENT_CAP = 2_000_000
 
 
 class Graph:

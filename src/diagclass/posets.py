@@ -5,7 +5,9 @@ A clustering is a partition of the vertex set into connected blocks.  An
 element of the cluster-permutohedron pairs a clustering with an
 assignment: a distribution of the labels 1..n over the blocks (block B
 receives |B| labels).  The graphicahedron replaces the clustering by an
-edge subset, remembering which edges produced the blocks.
+edge subset, remembering which edges produced the blocks.  The builders
+hold an assignment as one label mask per block; an element's label spells
+it out as (face, frozenset of (block, labels)).
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
-from .graphs import ComputationBudgetError, Graph, GraphInputError
+from .graphs import ELEMENT_CAP, ComputationBudgetError, Graph, GraphInputError
 
 Clustering = frozenset[frozenset[int]]
-Assignment = frozenset[tuple[frozenset[int], frozenset[int]]]  # (block, labels)
 
 
 def discrete_clustering(n: int) -> Clustering:
@@ -35,38 +36,20 @@ def assignment_multiplicity(c: Clustering, n: int) -> int:
     return math.factorial(n) // math.prod(math.factorial(len(b)) for b in c)
 
 
-def assignments_for(c: Clustering, n: int) -> list[Assignment]:
-    """All distributions of labels 1..n over the blocks of c."""
-    blocks = sorted(c, key=min)
-    out: list[Assignment] = []
-
-    def rec(i: int, remaining: frozenset[int], acc: list):
-        if i == len(blocks):
-            out.append(frozenset(acc))
-            return
-        b = blocks[i]
-        for labels in combinations(sorted(remaining), len(b)):
-            acc.append((b, frozenset(labels)))
-            rec(i + 1, remaining - frozenset(labels), acc)
-            acc.pop()
-
-    rec(0, frozenset(range(1, n + 1)), [])
-    return out
-
-
-def project_assignment(a: Assignment, coarser: Clustering) -> Assignment:
-    """Push an assignment forward along a refinement to a coarser clustering."""
-    lookup = dict(a)
-    out = []
-    for block in coarser:
-        labels: set[int] = set()
-        for sub, lab in lookup.items():
-            if sub <= block:
-                labels |= lab
-        if sum(len(s) for s in lookup if s <= block) != len(block):
-            raise ValueError("clustering is not a refinement of the target")
-        out.append((block, frozenset(labels)))
-    return frozenset(out)
+def assignments_for(c: Clustering, n: int) -> list[tuple[int, ...]]:
+    """All distributions of labels 1..n over the blocks of c, each one
+    label mask per block (bit l - 1 for label l), the blocks in order of
+    their least vertex; listed as the blocks' label sets in order of
+    `itertools.combinations`, the first block's choice leading."""
+    partial = [((), tuple(range(1, n + 1)))]  # (masks of the blocks so far, labels left)
+    for b in sorted(c, key=min):
+        partial = [
+            (masks + (sum(1 << (l - 1) for l in chosen),),
+             tuple(l for l in rest if l not in chosen))
+            for masks, rest in partial
+            for chosen in combinations(rest, len(b))
+        ]
+    return [masks for masks, _ in partial]
 
 
 class GradedPoset:
@@ -193,9 +176,6 @@ def clusterings(g: Graph) -> GradedPoset:
     return all_clusterings(g)
 
 
-ELEMENT_CAP = 2_000_000  # elements an assignment poset may have
-
-
 def _edge_subsets(g: Graph, max_rank: Optional[int]) -> tuple[GradedPoset, list[Clustering]]:
     """Edge subsets whose components have clustering rank at most max_rank
     (all of them by default), ordered by inclusion, with those clusterings.
@@ -317,31 +297,43 @@ def _assignment_poset(
     lattice: GradedPoset, found: list[Clustering], n: int, name: str
 ) -> GradedPoset:
     """Poset of (face, assignment) pairs over a face lattice whose faces
-    have the clusterings found.
+    have the clusterings found, each labelled (face, frozenset of (block,
+    labels)).
 
     An element covers another when its face covers the other's and its
-    assignment is the other's pushed forward to the coarser clustering.
+    assignment is the other's pushed forward to the coarser clustering:
+    each coarse block gets the labels of the fine blocks inside it.  Which
+    coarse block holds each fine block depends on the face cover alone, so
+    it is found once per cover, and with an assignment held as one label
+    mask per block the push-forward is one OR per fine block.
     """
     total = 0
     for c in found:
         total += assignment_multiplicity(c, n)
         if total > ELEMENT_CAP:
             raise ComputationBudgetError(f"{name} would exceed {ELEMENT_CAP} elements")
-    assigned = [assignments_for(c, n) for c in found]
+    blocks = [sorted(c, key=min) for c in found]
+    # the labels of each mask, one frozenset shared by every element holding it
+    label_sets = [frozenset(l + 1 for l in range(n) if m >> l & 1) for m in range(1 << n)]
     labels: list = []
     rank: list[int] = []
-    index: dict = {}
-    for face, r, assignments in zip(lattice.labels, lattice.rank, assigned):
-        for a in assignments:
-            index[(face, a)] = len(labels)
-            labels.append((face, a))
-            rank.append(r)
-    faces = lattice.labels
-    covers = {
-        (index[(faces[lo], a)], index[(faces[hi], project_assignment(a, found[hi]))])
-        for lo, hi in lattice.covers
-        for a in assigned[lo]
-    }
+    index: list[dict[tuple[int, ...], int]] = []  # per face: assignment -> element
+    for face, r, c, bs in zip(lattice.labels, lattice.rank, found, blocks):
+        at = {}
+        for a in assignments_for(c, n):
+            at[a] = len(labels)
+            labels.append((face, frozenset(zip(bs, map(label_sets.__getitem__, a)))))
+        index.append(at)
+        rank += [r] * len(at)
+    covers = []
+    for lo, hi in lattice.covers:
+        into = [next(j for j, big in enumerate(blocks[hi]) if b <= big) for b in blocks[lo]]
+        width, upper = len(blocks[hi]), index[hi]
+        for a, i in index[lo].items():
+            image = [0] * width
+            for j, m in zip(into, a):
+                image[j] |= m
+            covers.append((i, upper[tuple(image)]))
     return GradedPoset(labels=labels, rank=rank, covers=sorted(covers))
 
 

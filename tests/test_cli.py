@@ -449,6 +449,22 @@ def test_export_dot(runner):
     assert res.output.startswith("digraph")
 
 
+def test_export_dot_moment_graph_refused_over_the_element_cap():
+    # P10's moment graph has 10! = 3,628,800 vertices; listed, they would
+    # take gigabytes, so the cap refuses them before any is listed
+    path10 = "10 9\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 10))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "diagclass.cli", "export-dot", "-", "--kind", "gkm"],
+        input=path10, capture_output=True, text=True, env=_child_env(), timeout=20,
+        preexec_fn=_limit_address_space,
+    )
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == EXIT_BUDGET
+    assert proc.stdout == ""
+    assert proc.stderr == "budget exceeded: moment graph would exceed 2000000 elements\n"
+
+
 def test_version(runner):
     res = runner.invoke(main, ["--version"])
     assert res.exit_code == 0
@@ -499,6 +515,10 @@ _LOADS = {
     "formality-net": (["formality", "-"], NET, STAIRCASE_LAYERS, ["hashlib"]),
     "formality-cycle5-relabelled": (["formality", "-"], CYCLE5_RELABELLED,
                                     STAIRCASE_LAYERS, ["hashlib"]),
+    "export-dot-gkm-k3": (["export-dot", "-", "--kind", "gkm"], K3,
+                          ["gkm", "graphs", "linalg", "polynomials"], []),
+    "export-dot-cluster-path3": (["export-dot", "-", "--kind", "cluster"], PATH3,
+                                 ["graphs", "posets"], []),
 }
 
 

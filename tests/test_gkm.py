@@ -59,6 +59,12 @@ def test_build_gkm_graph_requires_connected():
         build_gkm_graph(make_graph(3, [(1, 2)]))
 
 
+def test_build_gkm_graph_refuses_over_the_element_cap(monkeypatch):
+    monkeypatch.setattr(gkm, "ELEMENT_CAP", 5)
+    with pytest.raises(ComputationBudgetError, match="^moment graph would exceed 5 elements$"):
+        build_gkm_graph(K3)  # 3! = 6 vertices
+
+
 def test_monomials():
     assert monomials(2, 2) == [(2, 0), (1, 1), (0, 2)]
     for nvars in (0, 1, 2, 3, 4):

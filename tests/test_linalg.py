@@ -473,8 +473,13 @@ def test_rank_mod_p_peak_memory_within_charge(suite_matrices):
     one's pivots hold 80 * 81 / 2 entries, and the tall product's grouped
     copy of its entries is most of its charge.  The product has rank 2,
     since tracemalloc's cost grows with the echelon's work: 2.8 s at rank
-    2 and 68 s at rank 60, same shape, on a 2-core Xeon."""
+    2 and 68 s at rank 60, same shape, on a 2-core Xeon.  The full C4
+    cluster-permutohedron's d_2 (484 x 672, rank 384) stands for the
+    order complexes' boundary maps, transposed to rows of 3 entries; the
+    C5 skeleton's d_2 of the same class peaked 218 times below its charge
+    and took 3.5 s traced, so its rank is checked untraced."""
     star = kernel_matrix(build_gkm_graph(named_graph("star", 4)), 2)
+    c4 = boundary_matrix(order_complex(cluster_permutohedron(named_graph("cycle", 4))), 2)
     n = 20_000
     augmentation = SparseMatrix.from_triples(1, n, ((0, j, 1) for j in range(n)))
     rng = random.Random(5)
@@ -486,7 +491,7 @@ def test_rank_mod_p_peak_memory_within_charge(suite_matrices):
         ("L_2", star, 1639),
         ("d_0", augmentation, 1),
         ("dense", dense, 80),
-        ("d_2", suite_matrices["C5 skeleton d_2"], 6002),
+        ("d_2", c4, 384),
         ("product", product, 2),
     ):
         charge = rational_rank_bytes(m.rows, m.cols, m.nnz)
@@ -501,6 +506,7 @@ def test_rank_mod_p_peak_memory_within_charge(suite_matrices):
         finally:
             tracemalloc.stop()
         assert peak < charge, name
+    assert rank_mod_p(suite_matrices["C5 skeleton d_2"], PRIME) == 6002
 
 
 def test_precheck_prices_what_the_door_prices(monkeypatch):

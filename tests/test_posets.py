@@ -1,5 +1,6 @@
 import math
 import re
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -21,7 +22,6 @@ from diagclass.posets import (
     graphicahedron,
     low_face_counts,
     order_complex,
-    project_assignment,
     skeleton,
     skeleton_face_counts,
 )
@@ -53,13 +53,76 @@ def test_clusterings_requires_connected():
 
 def test_assignments_count_and_projection():
     c = frozenset({frozenset({1, 2}), frozenset({3})})
-    assigns = assignments_for(c, 3)
-    assert len(assigns) == 3  # choose 2 labels of 3 for the merged block
-    top = frozenset({frozenset({1, 2, 3})})
-    for a in assigns:
-        proj = project_assignment(a, top)
-        (block, labels), = proj
-        assert labels == frozenset({1, 2, 3})
+    # choose 2 labels of 3 for the merged block, one label mask per block
+    assert assignments_for(c, 3) == [(0b011, 0b100), (0b101, 0b010), (0b110, 0b001)]
+    # every assignment pushes forward to the one assignment of the top face
+    cp = cluster_permutohedron(PATH3)
+    top = len(cp) - 1
+    assert cp.rank[top] == 2
+    rank1 = {i for i, r in enumerate(cp.rank) if r == 1}
+    assert {lo for lo, hi in cp.covers if hi == top} == rank1
+
+
+def _reference_assignments(c, n):
+    """Each distribution of labels 1..n over the blocks of c, as a
+    frozenset of (block, labels) pairs."""
+    blocks = sorted(c, key=min)
+    out = []
+
+    def rec(i, remaining, acc):
+        if i == len(blocks):
+            out.append(frozenset(acc))
+            return
+        for labels in combinations(sorted(remaining), len(blocks[i])):
+            acc.append((blocks[i], frozenset(labels)))
+            rec(i + 1, remaining - frozenset(labels), acc)
+            acc.pop()
+
+    rec(0, frozenset(range(1, n + 1)), [])
+    return out
+
+
+def _reference_project(a, coarser):
+    """An assignment pushed forward to a coarser clustering, block by block."""
+    lookup = dict(a)
+    out = []
+    for block in coarser:
+        labels = set()
+        for sub, lab in lookup.items():
+            if sub <= block:
+                labels |= lab
+        assert sum(len(s) for s in lookup if s <= block) == len(block)
+        out.append((block, frozenset(labels)))
+    return frozenset(out)
+
+
+def _reference_poset(g, kind, max_rank):
+    """The assignment poset built as the definition reads: each (face
+    cover, assignment) pair projects the assignment afresh, and elements are
+    looked up by (face, frozenset of (block, labels))."""
+    lattice, found = posets._face_lattice(g, kind, max_rank)
+    assigned = [_reference_assignments(c, g.n) for c in found]
+    labels, rank, index = [], [], {}
+    for face, r, assignments in zip(lattice.labels, lattice.rank, assigned):
+        for a in assignments:
+            index[(face, a)] = len(labels)
+            labels.append((face, a))
+            rank.append(r)
+    faces = lattice.labels
+    covers = {
+        (index[(faces[lo], a)], index[(faces[hi], _reference_project(a, found[hi]))])
+        for lo, hi in lattice.covers
+        for a in assigned[lo]
+    }
+    return posets.GradedPoset(labels=labels, rank=rank, covers=sorted(covers))
+
+
+def test_assignment_posets_match_the_projecting_reference():
+    for n in range(1, 5):
+        for g in connected_graphs_up_to_iso(n):
+            for kind, build in (("cluster", cluster_permutohedron), ("graphic", graphicahedron)):
+                for r in (*range(n), None):
+                    assert build(g, max_rank=r) == _reference_poset(g, kind, r), (g, kind, r)
 
 
 def test_cluster_permutohedron_counts():
