@@ -11,15 +11,16 @@ computed Betti number - that contradiction is a formality obstruction.
 
 A verdict needs only recognition, plus a lookup in `EVIDENCE` when the
 witness has a row there, so the module imports the layers of the evidence
-strategies (`homology`, `gkm`), of the face sums (`posets`) and of the
-affine solve (`linalg`, `fractions`) inside the functions that call them;
-its names for them are looked up when those functions run.
+strategies (`homology`, `gkm`) and of the affine solve (`linalg`,
+`fractions`) inside the functions that call them; its names for them are
+looked up when those functions run.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .graphs import (
@@ -69,33 +70,38 @@ def _staircase_A(key: tuple[int, ...]) -> Polynomial:
 
 
 def inter_polynomial(g: Graph) -> Polynomial:
-    """Sum over proper faces of A_face (t-1)^{rank}, with assignment
-    multiplicities; faces grouped by clustering.
+    """Sum over the proper faces of g of multiplicity * A_face * (t-1)^rank.
 
-    A face's A is the product of its blocks' A, and each block's A is
-    computed once for g; the faces of one rank are summed before their
-    power of (t-1) multiplies them.
+    A face of S partitions S into connected blocks; A_face is the product of
+    its blocks' A.  A face of S is its block B holding min S plus a face of
+    S - B, and its multiplicity |S|!/prod |B|! and rank sum(|B| - 1) split
+    the same way, so F(S) = sum over connected B containing min S of
+    C(|S|, |B|) A_B (t-1)^(|B|-1) F(S - B), with F(empty) = 1.  Inter is
+    F(V) without the top face B = V: the proper-face sum term by term.
     """
-    from .posets import all_clusterings, assignment_multiplicity, clustering_rank
-
     if not g.is_connected():
         raise GraphInputError("intermediate polynomial requires a connected graph")
-    block_A: dict[frozenset[int], Polynomial] = {}
-    by_rank: dict[int, Polynomial] = {}
-    for c in all_clusterings(g).labels:
-        if len(c) == 1:
-            continue  # the top face is the manifold itself, not a proper face
-        face = Polynomial([assignment_multiplicity(c, g.n)])
-        for block in c:
-            if block not in block_A:
-                block_A[block] = compute_A(induced_subgraph(g, block))
-            face = face * block_A[block]
-        r = clustering_rank(c, g.n)
-        by_rank[r] = by_rank.get(r, Polynomial.zero()) + face
-    out = Polynomial.zero()
-    for r, faces in by_rank.items():
-        out = out + faces * T_MINUS_1 ** r
-    return out
+
+    @cache
+    def block_A(block: frozenset[int]) -> Optional[Polynomial]:  # None: not connected
+        sub = induced_subgraph(g, block)
+        return compute_A(sub) if sub.is_connected() else None
+
+    @cache
+    def face_sum(vs: frozenset[int]) -> Polynomial:
+        if not vs:
+            return Polynomial.one()
+        least, *others = sorted(vs)
+        out = Polynomial.zero()
+        for size in range(len(others) + 1):
+            for extra in combinations(others, size):
+                block = frozenset((least, *extra))
+                if len(block) < g.n and (a := block_A(block)) is not None:  # not the top face
+                    scale = math.comb(len(vs), size + 1) * T_MINUS_1 ** size
+                    out = out + scale * a * face_sum(vs - block)
+        return out
+
+    return face_sum(frozenset(range(1, g.n + 1)))
 
 
 class ConsistencyResult(NamedTuple):

@@ -60,7 +60,7 @@ def _read_graph(source: str) -> tuple[graphs.Graph, str]:
         else:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise graphs.GraphInputError(f"cannot read {source}: {exc}") from exc
     return graphs.parse_graph(text), text
 

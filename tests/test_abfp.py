@@ -116,10 +116,14 @@ def test_A_and_inter_match_the_face_by_face_sum():
         for h in connected_hessenberg_functions(n):
             g = hessenberg_to_graph(h)
             lhs = betti_polynomial_hessenberg(h) - _inter_face_by_face(g, A)
-            assert compute_A(g) == poly_divide_exact(lhs, T_MINUS_1 ** (n - 1)), h
-    for name in ("net", "sun3"):
-        g = named_graph(name)
-        assert inter_polynomial(g) == _inter_face_by_face(g, A)
+            a = compute_A(g)
+            assert a == poly_divide_exact(lhs, T_MINUS_1 ** (n - 1)), h
+            assert a.degree == g.num_edges - n + 1, h
+            assert all(c >= 0 for c in a.coeffs), h
+    for name, k in (("claw", None), ("net", None), ("sun3", None),
+                    ("cycle", 4), ("cycle", 5), ("cycle", 6), ("cycle", 7)):
+        g = named_graph(name, k)
+        assert inter_polynomial(g) == _inter_face_by_face(g, A), (name, k)
 
 
 def test_assignment_multiplicity():
