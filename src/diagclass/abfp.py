@@ -4,10 +4,11 @@ diagonalizability / formality verdict.
 For a formal pattern the Betti polynomial B, the intermediate polynomial
 Inter (a sum over proper faces of the clustering lattice) and the
 orbit-space polynomial A satisfy B - Inter = A (t-1)^{n-1} exactly, and
-A has nonnegative coefficients.  The recursion computes A bottom-up over
-faces; the consistency test turns the same identity plus Poincare
-duality into a linear system whose forced consequences can contradict a
-computed Betti number - that contradiction is a formality obstruction.
+A has nonnegative coefficients.  Inter is one sum over the block of
+vertex 1, with the Betti polynomials of the rest; the consistency test
+turns the same identity plus Poincare duality into a linear system whose
+forced consequences can contradict a computed Betti number - that
+contradiction is a formality obstruction.
 
 A verdict needs only recognition, plus a lookup in `EVIDENCE` when the
 witness has a row there, so the module imports the layers of the evidence
@@ -19,7 +20,7 @@ looked up when those functions run.
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple, Optional
 
@@ -53,10 +54,15 @@ def compute_A(g: Graph) -> Polynomial:
     """
     if g.n == 1:
         return Polynomial.one()
+    return _staircase_A(staircase_key(_staircase_h(g)))
+
+
+def _staircase_h(g: Graph) -> HessenbergFunction:
+    """The Hessenberg function of the connected indifference graph g."""
     result = recognize_indifference(g)
     if isinstance(result, ForbiddenWitness):
-        raise GraphInputError("compute_A requires an indifference graph")
-    return _staircase_A(staircase_key(result.h))
+        raise GraphInputError("the orbit-space recursion requires an indifference graph")
+    return result.h
 
 
 @lru_cache(maxsize=1024)
@@ -72,36 +78,29 @@ def _staircase_A(key: tuple[int, ...]) -> Polynomial:
 def inter_polynomial(g: Graph) -> Polynomial:
     """Sum over the proper faces of g of multiplicity * A_face * (t-1)^rank.
 
-    A face of S partitions S into connected blocks; A_face is the product of
-    its blocks' A.  A face of S is its block B holding min S plus a face of
-    S - B, and its multiplicity |S|!/prod |B|! and rank sum(|B| - 1) split
-    the same way, so F(S) = sum over connected B containing min S of
-    C(|S|, |B|) A_B (t-1)^(|B|-1) F(S - B), with F(empty) = 1.  Inter is
-    F(V) without the top face B = V: the proper-face sum term by term.
+    Split a face at its block B holding vertex 1.  The other blocks are
+    connected, so they form one face of each component K of V - B, and the
+    multiplicity n!/prod |block|! and rank sum(|block| - 1) factor the same
+    way.  All faces of K, its top face included, sum to B_K: that is the
+    identity that defines A_K.  So Inter is the sum over connected B
+    containing 1, B != V, of n!/(|B|! prod |K|!) A_B (t-1)^(|B|-1) prod B_K.
     """
     if not g.is_connected():
         raise GraphInputError("intermediate polynomial requires a connected graph")
-
-    @cache
-    def block_A(block: frozenset[int]) -> Optional[Polynomial]:  # None: not connected
-        sub = induced_subgraph(g, block)
-        return compute_A(sub) if sub.is_connected() else None
-
-    @cache
-    def face_sum(vs: frozenset[int]) -> Polynomial:
-        if not vs:
-            return Polynomial.one()
-        least, *others = sorted(vs)
-        out = Polynomial.zero()
-        for size in range(len(others) + 1):
-            for extra in combinations(others, size):
-                block = frozenset((least, *extra))
-                if len(block) < g.n and (a := block_A(block)) is not None:  # not the top face
-                    scale = math.comb(len(vs), size + 1) * T_MINUS_1 ** size
-                    out = out + scale * a * face_sum(vs - block)
-        return out
-
-    return face_sum(frozenset(range(1, g.n + 1)))
+    out = Polynomial.zero()
+    for size in range(g.n - 1):  # vertex 1 and `size` others: never all of V
+        for extra in combinations(range(2, g.n + 1), size):
+            block = induced_subgraph(g, (1, *extra))
+            if block.is_connected():
+                rest = induced_subgraph(g, set(range(2, g.n + 1)).difference(extra))
+                parts = [induced_subgraph(rest, k) for k in rest.components()]
+                scale = math.factorial(g.n) // math.prod(
+                    math.factorial(p.n) for p in (block, *parts))
+                term = scale * compute_A(block) * T_MINUS_1 ** size
+                for p in parts:
+                    term = term * betti_polynomial_hessenberg(_staircase_h(p))
+                out = out + term
+    return out
 
 
 class ConsistencyResult(NamedTuple):

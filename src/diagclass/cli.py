@@ -168,8 +168,8 @@ def batch_hessenberg(max_n: int) -> None:
     staircase keys agree; each class is written once, as the staircase of
     the h that is its own key.
     """
-    if max_n > 7:
-        raise graphs.GraphInputError("--max-n capped at 7")
+    if max_n > 9:
+        raise graphs.GraphInputError("--max-n capped at 9")
     if max_n < 1:
         raise graphs.GraphInputError(f"--max-n must be at least 1, got {max_n}")
     print("n,edges,h,B,A")

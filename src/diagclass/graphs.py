@@ -94,20 +94,25 @@ class Graph:
     # -- connectivity --------------------------------------------------
 
     def is_connected(self) -> bool:
-        """A search from vertex 1 reaches every vertex.  Fewer than n - 1
-        edges cannot connect n vertices, so such a pattern is refused before
-        anything of size n is built."""
-        if self.num_edges < self.n - 1:
-            return False
+        """One component.  Fewer than n - 1 edges cannot connect n vertices,
+        so such a pattern is refused before anything of size n is built."""
+        return self.num_edges >= self.n - 1 and len(self.components()) == 1
+
+    def components(self) -> list[set[int]]:
+        """The vertex sets of the connected components, in order of least
+        vertex: a search from each vertex no earlier search reached."""
         adj = self._adjacency
-        seen = {1}
-        stack = [1]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        out, seen = [], set()
+        for v in self.vertices():
+            if v not in seen:
+                comp, stack = {v}, [v]
+                while stack:
+                    for w in adj[stack.pop()] - comp:
+                        comp.add(w)
+                        stack.append(w)
+                seen |= comp
+                out.append(comp)
+        return out
 
 
 def make_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:

@@ -72,11 +72,17 @@ def test_A_single_vertex():
 def test_A_rejects_non_indifference():
     with pytest.raises(GraphInputError):
         compute_A(named_graph("claw"))
+    # the fork: a claw centred at 3 with leaves 2, 4, 5, and vertex 1 pendant
+    # at 2, so the claw is the component that the block {1} leaves
+    fork = make_graph(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
+    with pytest.raises(GraphInputError, match="requires an indifference graph"):
+        inter_polynomial(fork)
 
 
 def test_A_degree_and_nonnegativity():
     """deg A = E - n + 1 and A has nonnegative coefficients on every
-    connected indifference graph with at most 5 vertices."""
+    connected indifference graph with at most 5 vertices, and on every one
+    of the 232 classes with 8 vertices, past the face-by-face reference."""
     for n in range(1, 6):
         for g in connected_graphs_up_to_iso(n):
             if not is_indifference(g):
@@ -89,6 +95,13 @@ def test_A_degree_and_nonnegativity():
                 cert = recognize_indifference(g)
                 lhs = betti_polynomial_hessenberg(cert.h) - inter_polynomial(g)
                 assert lhs == a * T_MINUS_1 ** (n - 1)
+    classes = [h for h in connected_hessenberg_functions(8) if staircase_key(h) == h.h]
+    assert len(classes) == 232
+    for h in classes:
+        g = hessenberg_to_graph(h)
+        a = compute_A(g)
+        assert a.degree == g.num_edges - 7, h
+        assert all(c >= 0 for c in a.coeffs), h
 
 
 def _inter_face_by_face(g, A):

@@ -310,14 +310,16 @@ def test_formality_rank_certification_error_exits_budget(runner, monkeypatch):
 
 
 def test_batch_hessenberg(runner):
-    res = runner.invoke(main, ["batch-hessenberg", "--max-n", "4"])
+    res = runner.invoke(main, ["batch-hessenberg", "--max-n", "8"])
     assert res.exit_code == 0
-    lines = res.output.strip().splitlines()
-    assert lines[0] == "n,edges,h,B,A"
-    # connected indifference graphs: 1 + 1 + 2 + 4 rows
-    assert len(lines) - 1 == 8
-    res = runner.invoke(main, ["batch-hessenberg", "--max-n", "9"])
-    assert res.exit_code == EXIT_INPUT
+    rows = list(csv.reader(res.output.splitlines()))
+    assert rows[0] == ["n", "edges", "h", "B", "A"]
+    # connected indifference graphs up to isomorphism, one row each
+    sizes = [int(row[0]) for row in rows[1:]]
+    assert [sizes.count(n) for n in range(1, 9)] == [1, 1, 2, 4, 10, 26, 76, 232]
+    res = runner.invoke(main, ["batch-hessenberg", "--max-n", "10"])
+    assert (res.exit_code, res.stdout) == (EXIT_INPUT, "")
+    assert res.stderr == "input error: --max-n capped at 9\n"
 
 
 @pytest.mark.parametrize("max_n", ["0", "-2"])

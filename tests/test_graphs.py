@@ -71,6 +71,22 @@ def test_induced_subgraph_relabels():
     assert induced_subgraph(g, [2, 3, 5]) == make_graph(3, [(1, 2), (1, 3)])
 
 
+def test_components_in_order_of_least_vertex():
+    g = make_graph(6, [(1, 2), (4, 5), (5, 6)])
+    assert g.components() == [{1, 2}, {3}, {4, 5, 6}]
+    # n - 1 edges, so the count alone does not refuse it
+    g = make_graph(6, [(1, 2), (1, 3), (2, 3), (4, 5), (5, 6)])
+    assert g.components() == [{1, 2, 3}, {4, 5, 6}] and not g.is_connected()
+    assert named_graph("cycle", 5).components() == [{1, 2, 3, 4, 5}]
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        g = make_graph(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.25])
+        expected = sorted(nx.connected_components(to_nx(g)), key=min)
+        assert g.components() == expected
+        assert g.is_connected() == (len(expected) == 1)
+
+
 def test_forbidden_witnesses():
     w = find_forbidden_induced(named_graph("cycle", 6))
     assert w is not None and w.kind == "cycle" and w.length == 6
