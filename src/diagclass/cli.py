@@ -20,6 +20,7 @@ import argparse
 import importlib.util
 import os
 import sys
+from itertools import islice
 
 from . import __version__
 
@@ -235,12 +236,17 @@ def adi_cmd(source: str, fmt: str) -> None:
 )
 def export_dot(source: str, kind: str, skeleton_rank: int | None) -> None:
     """Graphviz export of a Hasse diagram or the moment graph."""
+    if kind == "gkm" and skeleton_rank is not None:
+        raise graphs.GraphInputError("--skeleton applies to --kind cluster and graphic")
     g, _ = _read_graph(source)
     if kind == "gkm":
-        print(gkm.build_gkm_graph(g).to_dot())
+        lines = gkm.build_gkm_graph(g).to_dot()
     else:
         build = posets.cluster_permutohedron if kind == "cluster" else posets.graphicahedron
-        print(build(g, max_rank=skeleton_rank).to_dot())
+        lines = build(g, max_rank=skeleton_rank).to_dot()
+    # written as made, 4096 lines a write: unbuffered, each write is a system call
+    for chunk in iter(lambda: "".join(f"{line}\n" for line in islice(lines, 4096)), ""):
+        sys.stdout.write(chunk)
 
 
 def main(args: list[str] | None = None, prog_name: str = "diagclass") -> None:

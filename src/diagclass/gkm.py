@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from array import array
 from itertools import combinations_with_replacement, permutations
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .graphs import (
     DEFAULT_MEM_BUDGET,
@@ -48,14 +48,13 @@ class GkmGraph(NamedTuple):
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def to_dot(self) -> str:
-        lines = ["graph gkm {"]
+    def to_dot(self) -> Iterator[str]:
+        yield "graph gkm {"
         for i, p in enumerate(self.perms):
-            lines.append(f'  v{i} [label="{"".join(map(str, p))}"];')
+            yield f'  v{i} [label="{"".join(map(str, p))}"];'
         for u, v, (p, q) in self.edges:
-            lines.append(f'  v{u} -- v{v} [label="x{p}-x{q}"];')
-        lines.append("}")
-        return "\n".join(lines)
+            yield f'  v{u} -- v{v} [label="x{p}-x{q}"];'
+        yield "}"
 
 
 def build_gkm_graph(g: Graph) -> GkmGraph:

@@ -5,17 +5,17 @@ A clustering is a partition of the vertex set into connected blocks.  An
 element of the cluster-permutohedron pairs a clustering with an
 assignment: a distribution of the labels 1..n over the blocks (block B
 receives |B| labels).  The graphicahedron replaces the clustering by an
-edge subset, remembering which edges produced the blocks.  The builders
-hold an assignment as one label mask per block; an element's label spells
-it out as (face, frozenset of (block, labels)).
+edge subset, remembering which edges produced the blocks.  An element's
+label is (face, blocks, masks): the face's blocks in order of their least
+vertex, and the assignment as one label mask per block.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graphs import ELEMENT_CAP, ComputationBudgetError, Graph, GraphInputError
 
@@ -99,36 +99,37 @@ class GradedPoset:
 
     # -- exports -------------------------------------------------------
 
-    def to_dot(self) -> str:
-        lines = ["digraph hasse {", "  rankdir=BT;"]
-        for i in range(len(self.labels)):
-            lines.append(f'  n{i} [label="{_label_str(self.labels[i])}"];')
-        for lo, hi in self.covers:
-            lines.append(f"  n{lo} -> n{hi};")
-        lines.append("}")
-        return "\n".join(lines)
+    def to_dot(self) -> Iterator[str]:
+        """The Hasse diagram in Graphviz DOT, line by line."""
+        yield from ("digraph hasse {", "  rankdir=BT;")
+        face = None
+        for i, label in enumerate(self.labels):
+            if not isinstance(label, tuple):
+                yield f'  n{i} [label="{_face_str(label)}"];'
+                continue
+            if label[0] is not face:  # a face's elements come one after another
+                face, blocks, _ = label
+                face_str, block_strs = _face_str(face), [_braces(sorted(b)) for b in blocks]
+            pairs = ",".join(f"({b},{_mask_str(m)})" for b, m in zip(block_strs, label[2]))
+            yield f'  n{i} [label="({face_str},{{{pairs}}})"];'
+        yield from (f"  n{lo} -> n{hi};" for lo, hi in self.covers)
+        yield "}"
 
 
-def _least(part):
-    """Sort key of a label part: a vertex itself, a set its least member's
-    key, a tuple its members' keys; so the blocks of a clustering come in
-    order of their least vertex, and so do an assignment's (block, labels)
-    pairs."""
-    if isinstance(part, frozenset):
-        return min(map(_least, part))
-    if isinstance(part, tuple):
-        return tuple(map(_least, part))
-    return part
+def _braces(members) -> str:
+    return "{" + ",".join(map(str, members)) + "}"
 
 
-def _label_str(label) -> str:
-    """A face label with every set in braces, so that it reads
-    unambiguously: the clustering of blocks {1} and {2, 3} is {{1},{2,3}}."""
-    if isinstance(label, frozenset):
-        return "{" + ",".join(_label_str(p) for p in sorted(label, key=_least)) + "}"
-    if isinstance(label, tuple):
-        return "(" + ",".join(map(_label_str, label)) + ")"
-    return str(label)
+# one string per mask; n <= 9 under the element cap, so at most 511 of them
+@cache
+def _mask_str(mask: int) -> str:
+    return _braces(l + 1 for l in range(mask.bit_length()) if mask >> l & 1)
+
+
+def _face_str(face) -> str:
+    """A clustering as {{1},{2,3}}, an edge subset as {(1,2),(2,3)}."""
+    return _braces(f"({p[0]},{p[1]})" if isinstance(p, tuple) else _braces(sorted(p))
+                   for p in sorted(face, key=sorted))
 
 
 def _require_connected(g: Graph) -> None:
@@ -297,8 +298,7 @@ def _assignment_poset(
     lattice: GradedPoset, found: list[Clustering], n: int, name: str
 ) -> GradedPoset:
     """Poset of (face, assignment) pairs over a face lattice whose faces
-    have the clusterings found, each labelled (face, frozenset of (block,
-    labels)).
+    have the clusterings found, each labelled (face, blocks, masks).
 
     An element covers another when its face covers the other's and its
     assignment is the other's pushed forward to the coarser clustering:
@@ -312,9 +312,7 @@ def _assignment_poset(
         total += assignment_multiplicity(c, n)
         if total > ELEMENT_CAP:
             raise ComputationBudgetError(f"{name} would exceed {ELEMENT_CAP} elements")
-    blocks = [sorted(c, key=min) for c in found]
-    # the labels of each mask, one frozenset shared by every element holding it
-    label_sets = [frozenset(l + 1 for l in range(n) if m >> l & 1) for m in range(1 << n)]
+    blocks = [tuple(sorted(c, key=min)) for c in found]
     labels: list = []
     rank: list[int] = []
     index: list[dict[tuple[int, ...], int]] = []  # per face: assignment -> element
@@ -322,7 +320,7 @@ def _assignment_poset(
         at = {}
         for a in assignments_for(c, n):
             at[a] = len(labels)
-            labels.append((face, frozenset(zip(bs, map(label_sets.__getitem__, a)))))
+            labels.append((face, bs, a))
         index.append(at)
         rank += [r] * len(at)
     covers = []

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import csv
 import functools
+import hashlib
 import importlib
 import inspect
 import io
@@ -475,6 +476,63 @@ def test_export_dot_moment_graph_refused_over_the_element_cap():
     assert proc.returncode == EXIT_BUDGET
     assert proc.stdout == ""
     assert proc.stderr == "budget exceeded: moment graph would exceed 2000000 elements\n"
+
+
+PATH7 = "7 6\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 7))
+# SHA-256 of export-dot's stdout: its bytes are fixed, labels and order alike
+_DOT_SHA256 = {
+    "path7-cluster": (["--kind", "cluster"], PATH7,
+                      "d74f8f9e7d50a000e2b5820bd4b8a4a8cd97a1501e9d705cf46f311df181b0a9"),
+    "claw-graphic": (["--kind", "graphic"], CLAW,
+                     "c0ced3c265c2822279e8534566e7eb80473e1096409030d224bcc10979099fd8"),
+    "cycle4-cluster-skeleton1": (["--kind", "cluster", "--skeleton", "1"], CYCLE4,
+                                 "27e2def24e27a2a05f005dd178a8d5001ba78f2bd70a54a6a49e481338abc3bf"),
+    "k3-gkm": (["--kind", "gkm"], K3,
+               "aab99d71d451ddfa2c1f1a1102668553d6fcada6621d93baeccf8e7a229e9234"),
+}
+
+
+@pytest.mark.parametrize("case", [c for c in _DOT_SHA256 if c != "path7-cluster"])
+def test_export_dot_bytes_are_pinned(runner, case):
+    args, stdin, digest = _DOT_SHA256[case]
+    res = runner.invoke(main, ["export-dot", "-", *args], input=stdin)
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
+# Runs the CLI in a grandchild, which gets this small launcher's stdin and
+# stdout, and writes the grandchild's peak RSS in KiB to stderr.  A direct
+# child of the test process would report at least the test process's own
+# peak, which Linux carries over as the high-water mark of the exec.
+_PEAK_PROBE = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, "-m", "diagclass.cli", *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss, file=sys.stderr)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def test_export_dot_streams_in_little_memory():
+    # P7's 47,293 elements make 9.2 MB of DOT; written as made, the CLI holds
+    # neither the whole text nor a frozenset per element
+    args, stdin, digest = _DOT_SHA256["path7-cluster"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_PROBE, "export-dot", "-", *args],
+        input=stdin.encode(), capture_output=True, env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+    assert int(proc.stderr.splitlines()[-1]) < 64 * 1024
+
+
+def test_export_dot_skeleton_is_refused_for_the_moment_graph(runner):
+    res = runner.invoke(main, ["export-dot", "-", "--kind", "gkm", "--skeleton", "1"], input=K3)
+    assert res.exit_code == EXIT_INPUT
+    assert res.stdout == ""
+    assert res.stderr == "input error: --skeleton applies to --kind cluster and graphic\n"
 
 
 def test_version(runner):

@@ -240,5 +240,6 @@ def test_bad_field_rejected():
 
 def test_to_dot():
     gg = build_gkm_graph(K3)
-    dot = gg.to_dot()
-    assert dot.startswith("graph") and dot.count("--") == gg.num_edges
+    lines = list(gg.to_dot())
+    assert lines[0] == "graph gkm {" and lines[-1] == "}"
+    assert sum("--" in line for line in lines) == gg.num_edges

@@ -117,12 +117,30 @@ def _reference_poset(g, kind, max_rank):
     return posets.GradedPoset(labels=labels, rank=rank, covers=sorted(covers))
 
 
+def _spelled_out(p):
+    """An assignment poset with each label (face, blocks, masks) spelled out
+    as the reference labels it, (face, frozenset of (block, labels))."""
+    def label_set(mask):
+        return frozenset(l + 1 for l in range(mask.bit_length()) if mask >> l & 1)
+
+    labels = [(face, frozenset(zip(blocks, map(label_set, masks))))
+              for face, blocks, masks in p.labels]
+    return posets.GradedPoset(labels=labels, rank=p.rank, covers=p.covers)
+
+
 def test_assignment_posets_match_the_projecting_reference():
     for n in range(1, 5):
         for g in connected_graphs_up_to_iso(n):
             for kind, build in (("cluster", cluster_permutohedron), ("graphic", graphicahedron)):
                 for r in (*range(n), None):
-                    assert build(g, max_rank=r) == _reference_poset(g, kind, r), (g, kind, r)
+                    p = build(g, max_rank=r)
+                    # one blocks tuple per face, in order of least vertex
+                    shared = {}
+                    for face, blocks, masks in p.labels:
+                        assert shared.setdefault(face, blocks) is blocks
+                        assert [min(b) for b in blocks] == sorted(map(min, blocks))
+                        assert len(masks) == len(blocks)
+                    assert _spelled_out(p) == _reference_poset(g, kind, r), (g, kind, r)
 
 
 def test_cluster_permutohedron_counts():
@@ -178,11 +196,10 @@ def test_graphicahedron_tree_matches_cluster_permutohedron():
         # explicit order isomorphism: (D, A) -> (components(D), A); on a
         # tree the edge subset is determined by its partition into subtrees
         mapping = {}
-        for i, (d, a) in enumerate(gr.labels):
-            blocks = frozenset(block for block, _ in a)
-            mapping[i] = (blocks, a)
+        for i, (d, blocks, a) in enumerate(gr.labels):
+            mapping[i] = (frozenset(blocks), a)
         cp_index = {}
-        for i, (c, a) in enumerate(cp.labels):
+        for i, (c, _, a) in enumerate(cp.labels):
             cp_index[(c, a)] = i
         image = [cp_index[mapping[i]] for i in range(len(gr))]
         assert sorted(image) == list(range(len(cp)))
@@ -288,12 +305,14 @@ def test_order_complex_chains_are_chains():
 
 def test_exports():
     cp = cluster_permutohedron(PATH3)
-    dot = cp.to_dot()
-    assert dot.startswith("digraph") and dot.count("->") == len(cp.covers)
+    lines = list(cp.to_dot())
+    assert lines[0] == "digraph hasse {" and lines[-1] == "}"
+    assert sum("->" in line for line in lines) == len(cp.covers)
+    assert all("\n" not in line for line in lines)
 
 
 def _dot_labels(p) -> list[str]:
-    return re.findall(r'label="([^"]*)"', p.to_dot())
+    return re.findall(r'label="([^"]*)"', "\n".join(p.to_dot()))
 
 
 def test_face_labels_are_distinct_and_in_block_order():
@@ -307,7 +326,7 @@ def test_face_labels_are_distinct_and_in_block_order():
                 assert len(set(labels)) == len(labels), (g, build)
             # blocks, and the (block, labels) pairs, by their least vertex
             cp = cluster_permutohedron(g)
-            for (c, a), label in zip(cp.labels, _dot_labels(cp)):
+            for (c, a), label in zip(_spelled_out(cp).labels, _dot_labels(cp)):
                 blocks = sorted(c, key=min)
                 held = dict(a)
                 pairs = ",".join(f"({braces(b)},{braces(held[b])})" for b in blocks)
