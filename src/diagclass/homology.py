@@ -14,7 +14,7 @@ deletions.
 from __future__ import annotations
 
 from array import array
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graphs import DEFAULT_MEM_BUDGET, Graph
 from .linalg import SparseMatrix, check_rank_budget, eliminate
@@ -22,7 +22,6 @@ from .posets import (
     SimplicialComplex,
     cluster_permutohedron,
     graphicahedron,
-    low_face_counts,
     order_complex,
     skeleton_face_counts,
 )
@@ -49,15 +48,16 @@ def boundary_matrix(sc: SimplicialComplex, d: int) -> SparseMatrix:
     return SparseMatrix(len(sc.faces[d - 1]), len(faces), row, col, val)
 
 
-def check_homology_budget(
-    face_counts: list[int], coeff: str, mem_budget: int = DEFAULT_MEM_BUDGET
-) -> None:
+def check_homology_budget(face_counts: Iterable[int], coeff: str, mem_budget: int) -> None:
     """Refuse, from the face counts alone, a complex one of whose boundary
     maps d_0, d_1, ... `reduced_homology` would refuse to eliminate over
-    coeff, naming it; each d-face puts d + 1 entries in d_d."""
+    coeff, naming it; each d-face puts d + 1 entries in d_d.  The counts
+    are taken one at a time, so none past the first refused map is asked
+    for."""
+    rows = 1
     for d, cols in enumerate(face_counts):
-        rows = face_counts[d - 1] if d else 1
         check_rank_budget(rows, cols, (d + 1) * cols, coeff, mem_budget, f"d_{d}")
+        rows = cols
 
 
 def reduced_homology(
@@ -146,10 +146,11 @@ def poset_homology(
     (kind "cluster") or the graphicahedron (kind "graphic") of g up to
     rank max_rank, with the poset's kind, element count and rank bound.
 
-    The complex is refused from its face counts before the poset is built,
-    d_0 and d_1 first, from counts that cost a fraction of the chain count.
+    A poset over the element cap is refused before anything is counted,
+    and the complex is refused from its face counts before the poset is
+    built: d_0 and d_1 first, from the vertex and edge counts, which cost
+    a fraction of the deeper ones.
     """
-    check_homology_budget(low_face_counts(g, kind, max_rank), coeff, mem_budget)
     check_homology_budget(skeleton_face_counts(g, kind, max_rank), coeff, mem_budget)
     build = cluster_permutohedron if kind == "cluster" else graphicahedron
     p = build(g, max_rank=max_rank)

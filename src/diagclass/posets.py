@@ -185,15 +185,18 @@ def _edge_subsets(g: Graph, max_rank: Optional[int]) -> tuple[GradedPoset, list[
     without its largest edge) plus one edge, and its clustering is the
     prefix's with the edge's two blocks merged.  Elements are listed by
     size, then by their sorted edges; each cover adds one edge, and adding
-    a chord inside a block keeps the rank.
+    a chord inside a block keeps the rank.  The listing stops, refused,
+    once the subsets met carry more than ELEMENT_CAP assignments.
     """
     edges = g.sorted_edges()
-    if len(edges) > 20:
-        raise ComputationBudgetError("graphicahedron limited to 20 edges")
     top = g.n - 1 if max_rank is None else max_rank
     # (next edge position, subset, clustering), listed breadth first
     kept = [(0, (), discrete_clustering(g.n))]
+    carried = 0
     for start, d, c in kept:
+        carried += assignment_multiplicity(c, g.n)
+        if carried > ELEMENT_CAP:
+            raise _over_cap("graphic")
         for pos in range(start, len(edges)):
             bi, bj = (next(b for b in c if v in b) for v in edges[pos])
             merged = c if bi is bj else frozenset((c - {bi, bj}) | {bi | bj})
@@ -207,14 +210,30 @@ def _edge_subsets(g: Graph, max_rank: Optional[int]) -> tuple[GradedPoset, list[
     return GradedPoset(labels=labels, rank=ranks, covers=covers), found
 
 
+def _over_cap(kind: str) -> ComputationBudgetError:
+    name = "cluster-permutohedron" if kind == "cluster" else "graphicahedron"
+    return ComputationBudgetError(f"{name} would exceed {ELEMENT_CAP} elements")
+
+
 def _face_lattice(g: Graph, kind: str, max_rank: Optional[int]) -> tuple[GradedPoset, list[Clustering]]:
     """The faces of the "cluster" or "graphic" assignment poset of rank at
-    most max_rank, with the clustering of each face."""
+    most max_rank, with the clustering of each face.
+
+    The poset is refused, before it is counted or built, once its faces
+    carry more than ELEMENT_CAP assignments, its elements.  The discrete
+    face alone carries n!, so n >= 10 is refused before any face is
+    listed; edge subsets are refused while they are listed, clusterings
+    once they are.
+    """
     _require_connected(g)
-    if kind == "cluster":
-        lattice = all_clusterings(g, max_rank)
-        return lattice, lattice.labels
-    return _edge_subsets(g, max_rank)
+    if math.factorial(g.n) > ELEMENT_CAP:
+        raise _over_cap(kind)
+    if kind == "graphic":
+        return _edge_subsets(g, max_rank)
+    lattice = all_clusterings(g, max_rank)
+    if sum(assignment_multiplicity(c, g.n) for c in lattice.labels) > ELEMENT_CAP:
+        raise _over_cap(kind)
+    return lattice, lattice.labels
 
 
 def cluster_permutohedron(g: Graph, max_rank: Optional[int] = None) -> GradedPoset:
@@ -223,7 +242,7 @@ def cluster_permutohedron(g: Graph, max_rank: Optional[int] = None) -> GradedPos
     max_rank restricts construction to elements of rank <= max_rank, which
     avoids building elements a later skeleton() call would drop.
     """
-    return _assignment_poset(*_face_lattice(g, "cluster", max_rank), g.n, "cluster-permutohedron")
+    return _assignment_poset(*_face_lattice(g, "cluster", max_rank), g.n)
 
 
 def graphicahedron(g: Graph, max_rank: Optional[int] = None) -> GradedPoset:
@@ -233,70 +252,39 @@ def graphicahedron(g: Graph, max_rank: Optional[int] = None) -> GradedPoset:
     Covers may preserve rank (adding a chord inside a block), so this
     poset is only weakly graded.
     """
-    return _assignment_poset(*_face_lattice(g, "graphic", max_rank), g.n, "graphicahedron")
+    return _assignment_poset(*_face_lattice(g, "graphic", max_rank), g.n)
 
 
-def skeleton_face_counts(g: Graph, kind: str, max_rank: Optional[int]) -> list[int]:
-    """Face counts of the order complex of cluster_permutohedron (kind
-    "cluster") or graphicahedron (kind "graphic") of g up to max_rank,
-    without building either.
+def skeleton_face_counts(g: Graph, kind: str, max_rank: Optional[int]) -> Iterator[int]:
+    """Face counts f_0, f_1, ... of the order complex of
+    cluster_permutohedron (kind "cluster") or graphicahedron (kind
+    "graphic") of g up to max_rank, without building either, each made
+    only when it is asked for.
 
     A chain of the poset is a chain f_0 < ... < f_d of faces with an
     assignment of f_0, which fixes the assignments above it; so the
-    d-faces number the sum of assignment_multiplicity(f_0) over face
-    chains.  A graphicahedron cover may keep the rank, so chains are as
-    long as the face lattice's longest chain, not max_rank + 1.
+    d-faces number the chains of d + 1 faces ending at each face j, each
+    weighted by the assignments of its bottom face, summed over j.  Those
+    ending at j are the shorter ones ending strictly below j; faces with
+    equal counts form a class, so each sum is one popcount of j's
+    down-set per class.  At d = 1 the classes are the few multiplicities,
+    which depend only on block sizes.  A graphicahedron cover may keep the
+    rank, so chains are as long as the face lattice's longest chain, not
+    max_rank + 1.
     """
     lattice, found = _face_lattice(g, kind, max_rank)
     below = lattice.strict_downsets()
-    counts: list[int] = []
-    # ending[j][d]: chains of d + 1 faces ending at face j, each weighted
-    # by the assignments of its bottom face
-    ending: list[list[int]] = []
-    for j, c in enumerate(found):
-        weights = [assignment_multiplicity(c, g.n)]
-        rest = below[j]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            shorter = ending[low.bit_length() - 1]
-            weights += [0] * (len(shorter) + 1 - len(weights))
-            for d, k in enumerate(shorter, 1):
-                weights[d] += k
-        ending.append(weights)
-        counts += [0] * (len(weights) - len(counts))
-        for d, k in enumerate(weights):
-            counts[d] += k
-    return counts
+    ending = [assignment_multiplicity(c, g.n) for c in found]
+    while any(ending):
+        yield sum(ending)
+        classes: dict[int, int] = {}  # count -> bitset of the faces with it
+        for j, k in enumerate(ending):
+            if k:
+                classes[k] = classes.get(k, 0) | 1 << j
+        ending = [sum(k * (b & faces).bit_count() for k, faces in classes.items()) for b in below]
 
 
-def low_face_counts(g: Graph, kind: str, max_rank: Optional[int]) -> list[int]:
-    """The first two of `skeleton_face_counts`, the vertices and edges of
-    the order complex, at a fraction of the cost of its chain count.
-
-    The vertices number the sum of the face multiplicities, and the edges,
-    summed over faces j, the multiplicities of the faces strictly below j.
-    A face's multiplicity depends only on its block sizes, so the faces
-    fall into few classes by multiplicity, and each inner sum is a few
-    popcounts of j's down-set.
-    """
-    lattice, found = _face_lattice(g, kind, max_rank)
-    classes: dict[int, int] = {}  # multiplicity -> bitset of the faces with it
-    for j, c in enumerate(found):
-        w = assignment_multiplicity(c, g.n)
-        classes[w] = classes.get(w, 0) | 1 << j
-    vertices = sum(w * faces.bit_count() for w, faces in classes.items())
-    edges = sum(
-        w * (below & faces).bit_count()
-        for below in lattice.strict_downsets()
-        for w, faces in classes.items()
-    )
-    return [vertices, edges] if edges else [vertices]
-
-
-def _assignment_poset(
-    lattice: GradedPoset, found: list[Clustering], n: int, name: str
-) -> GradedPoset:
+def _assignment_poset(lattice: GradedPoset, found: list[Clustering], n: int) -> GradedPoset:
     """Poset of (face, assignment) pairs over a face lattice whose faces
     have the clusterings found, each labelled (face, blocks, masks).
 
@@ -305,13 +293,10 @@ def _assignment_poset(
     each coarse block gets the labels of the fine blocks inside it.  Which
     coarse block holds each fine block depends on the face cover alone, so
     it is found once per cover, and with an assignment held as one label
-    mask per block the push-forward is one OR per fine block.
+    mask per block the push-forward is one OR per fine block.  The face
+    lattice was held to the element cap as it was listed, so the
+    elements are made without a count.
     """
-    total = 0
-    for c in found:
-        total += assignment_multiplicity(c, n)
-        if total > ELEMENT_CAP:
-            raise ComputationBudgetError(f"{name} would exceed {ELEMENT_CAP} elements")
     blocks = [tuple(sorted(c, key=min)) for c in found]
     labels: list = []
     rank: list[int] = []

@@ -44,7 +44,14 @@ CYCLE9 = "9 9\n" + "".join(f"{i} {i % 9 + 1}\n" for i in range(1, 10))
 # C30 with vertex k relabelled to 1 + 7k mod 30 (7 is prime to 30)
 CYCLE30 = "30 30\n" + "".join(f"{1 + 7 * i % 30} {1 + 7 * (i + 1) % 30}\n" for i in range(30))
 BULL = "5 5\n1 2\n1 3\n2 3\n1 4\n2 5\n"
-K6 = "6 15\n" + "".join(f"{i} {j}\n" for i in range(1, 7) for j in range(i + 1, 7))
+
+
+def complete(n: int) -> str:
+    return f"{n} {n * (n - 1) // 2}\n" + "".join(
+        f"{i} {j}\n" for i in range(1, n + 1) for j in range(i + 1, n + 1))
+
+
+K6, K7, K10, K11 = map(complete, (6, 7, 10, 11))
 # the staircase h = (3, 4, 5, 6, 6, 6) with vertex k relabelled (5, 2, 6, 1, 4, 3)[k-1]
 STAIRCASE = "6 9\n2 5\n5 6\n2 6\n2 1\n6 1\n6 4\n1 4\n1 3\n4 3\n"
 
@@ -395,14 +402,19 @@ def _limit_address_space():
         ("graphic", "f2", K6,
          "d_1 needs a 121332x395561527 matrix (5999284035744 bytes packed), budget 2147483648",
          3.0),
+        ("cluster", "f2", K10, "cluster-permutohedron would exceed 2000000 elements", 1.0),
+        ("cluster", "f2", K11, "cluster-permutohedron would exceed 2000000 elements", 1.0),
     ],
-    ids=["f2-cycle7", "z-cycle6", "graphic-f2-cycle6", "graphic-f2-cycle7", "graphic-f2-k6"],
+    ids=["f2-cycle7", "z-cycle6", "graphic-f2-cycle6", "graphic-f2-cycle7", "graphic-f2-k6",
+         "f2-k10", "f2-k11"],
 )
 def test_clusterperm_refuses_from_face_counts(poset, coeff, stdin, message, seconds):
     # built, the C7 order complexes exhaust the address space and the C6
     # ones take seconds; refused from their face counts, none is built.
-    # K6's 32,768 edge subsets make the full chain count take most of a
-    # minute, and its d_1 is refused from the vertex and edge counts alone
+    # K6's 32,768 edge subsets make its deeper face counts take most of a
+    # minute, and its d_1 is refused from the vertex and edge counts, so
+    # no deeper count is made.  K10's discrete face alone carries 10!
+    # assignments, so K10 and K11 are refused before any face is listed
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "diagclass.cli", "clusterperm", "-", "--poset", poset,
@@ -419,6 +431,14 @@ def test_clusterperm_graphic_poset(runner):
     res = runner.invoke(main, ["clusterperm", "-", "--poset", "graphic"], input=K3)
     assert res.exit_code == 0
     assert json.loads(res.output)["elements"] == 19
+
+
+def test_clusterperm_graphic_skeleton_of_many_edges(runner):
+    # K7's 21 edges are no bar: its rank-0 graphicahedron is the 7! vertices
+    args = ["clusterperm", "-", "--poset", "graphic", "--skeleton", "0"]
+    res = runner.invoke(main, args, input=K7)
+    assert res.exit_code == 0
+    assert json.loads(res.output)["face_counts"] == [5040]
 
 
 def test_gkm_command(runner):
@@ -476,6 +496,23 @@ def test_export_dot_moment_graph_refused_over_the_element_cap():
     assert proc.returncode == EXIT_BUDGET
     assert proc.stdout == ""
     assert proc.stderr == "budget exceeded: moment graph would exceed 2000000 elements\n"
+
+
+@pytest.mark.parametrize("kind, name", [("cluster", "cluster-permutohedron"),
+                                        ("graphic", "graphicahedron")])
+def test_export_dot_poset_refused_over_the_element_cap(kind, name):
+    # K11's discrete face alone carries 11! assignments: refused before any
+    # face is listed, where building the poset would exhaust the address space
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "diagclass.cli", "export-dot", "-", "--kind", kind],
+        input=K11, capture_output=True, text=True, env=_child_env(), timeout=20,
+        preexec_fn=_limit_address_space,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == EXIT_BUDGET
+    assert proc.stdout == ""
+    assert proc.stderr == f"budget exceeded: {name} would exceed 2000000 elements\n"
 
 
 PATH7 = "7 6\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 7))

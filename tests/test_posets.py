@@ -1,6 +1,6 @@
 import math
 import re
-from itertools import combinations
+from itertools import combinations, islice
 
 import networkx as nx
 import pytest
@@ -12,6 +12,7 @@ from diagclass.graphs import (
     make_graph,
     named_graph,
 )
+from diagclass.homology import check_homology_budget
 from diagclass.linalg import ComputationBudgetError
 from diagclass.posets import (
     all_clusterings,
@@ -20,7 +21,6 @@ from diagclass.posets import (
     clusterings,
     discrete_clustering,
     graphicahedron,
-    low_face_counts,
     order_complex,
     skeleton,
     skeleton_face_counts,
@@ -274,24 +274,41 @@ def test_skeleton_face_counts_match_order_complex():
     cases += [(named_graph(name), r) for name in ("net", "sun3") for r in (1, 2)]
     for g, r in cases:
         built = order_complex(cluster_permutohedron(g, max_rank=r))
-        assert skeleton_face_counts(g, "cluster", r) == built.face_counts()
+        assert list(skeleton_face_counts(g, "cluster", r)) == built.face_counts()
     # a graphicahedron cover may keep the rank, so its chains outgrow the rank
     for g in small:
         for r in (1, 2, 3, None):
             built = order_complex(graphicahedron(g, max_rank=r))
-            assert skeleton_face_counts(g, "graphic", r) == built.face_counts()
-    assert skeleton_face_counts(named_graph("cycle", 7), "cluster", 2) == [46200, 246960, 211680]
+            assert list(skeleton_face_counts(g, "graphic", r)) == built.face_counts()
+    assert list(skeleton_face_counts(named_graph("cycle", 7), "cluster", 2)) == [
+        46200, 246960, 211680]
 
 
-def test_low_face_counts_match_the_chain_count():
+def test_vertex_and_edge_counts_match_the_built_poset():
+    # f_0 counts the elements and f_1 the pairs x < y, read off the built
+    # poset's down-sets; at rank 0 there are no pairs, and no f_1
     k5 = named_graph("complete", 5)
     fork = make_graph(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
-    cases = [(k5, "graphic"), (named_graph("cycle", 6), "graphic"), (k5, "cluster"),
-             (fork, "cluster")]
-    for g, kind in cases:
+    cases = [(k5, graphicahedron), (named_graph("cycle", 6), graphicahedron),
+             (k5, cluster_permutohedron), (fork, cluster_permutohedron)]
+    for g, build in cases:
+        kind = "graphic" if build is graphicahedron else "cluster"
         for r in (0, 1, 2, None):
-            assert low_face_counts(g, kind, r) == skeleton_face_counts(g, kind, r)[:2]
-    assert low_face_counts(k5, "graphic", None) == [4048, 865177]
+            p = build(g, max_rank=r)
+            pairs = sum(b.bit_count() for b in p.strict_downsets())
+            counts = skeleton_face_counts(g, kind, r)
+            assert next(counts) == len(p)
+            assert next(counts, 0) == pairs
+    assert list(islice(skeleton_face_counts(k5, "graphic", None), 2)) == [4048, 865177]
+
+
+def test_face_counts_are_made_only_when_asked_for():
+    # the budget refuses K5's graphicahedron at d_1 and takes no deeper
+    # count, which stays there for the next caller
+    counts = skeleton_face_counts(named_graph("complete", 5), "graphic", None)
+    with pytest.raises(ComputationBudgetError, match="^d_1 needs"):
+        check_homology_budget(counts, "gf2", 10**8)
+    assert next(counts) == 26_568_730
 
 
 def test_order_complex_chains_are_chains():
