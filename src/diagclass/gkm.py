@@ -21,13 +21,7 @@ from array import array
 from itertools import combinations_with_replacement, permutations
 from typing import Iterator, NamedTuple, Optional
 
-from .graphs import (
-    DEFAULT_MEM_BUDGET,
-    ELEMENT_CAP,
-    ComputationBudgetError,
-    Graph,
-    GraphInputError,
-)
+from .graphs import DEFAULT_MEM_BUDGET, Graph, check_element_cap
 from .linalg import SparseMatrix, check_rank_budget, eliminate
 from .polynomials import Polynomial, series_expand_product
 
@@ -59,13 +53,10 @@ class GkmGraph(NamedTuple):
 
 def build_gkm_graph(g: Graph) -> GkmGraph:
     """Cayley-type moment graph; tail of each edge is the lexicographically
-    smaller one-line permutation.  Refused, before any permutation is
-    listed, when its n! vertices exceed the element cap."""
-    if not g.is_connected():
-        raise GraphInputError("moment graph requires a connected pattern")
+    smaller one-line permutation.  Its n! vertices pass the element-cap
+    door, `check_element_cap`, before any permutation is listed."""
+    check_element_cap("moment graph", g)
     n = g.n
-    if math.factorial(n) > ELEMENT_CAP:
-        raise ComputationBudgetError(f"moment graph would exceed {ELEMENT_CAP} elements")
     perms = tuple(permutations(range(1, n + 1)))
     index = {p: i for i, p in enumerate(perms)}
     edges = []
@@ -185,8 +176,11 @@ def kernel_matrix_shape(n: int, pattern_edges: int, degree: int) -> tuple[int, i
 def check_kernel_budget(g: Graph, max_degree: int, field: str, mem_budget: int) -> None:
     """Refuse, before the n! moment graph is built, if the rank over `field`
     of any of L_0..L_max_degree would be charged more than the budget.
-    Each of the n! |E| / 2 moment-graph edges puts two entries in L_i per
-    monomial of its columns, so L_i has cols * |E| entries."""
+    The moment graph passes `check_element_cap` first, so no L_i of a
+    disconnected pattern or of n! over the cap is priced.  Each of the
+    n! |E| / 2 moment-graph edges puts two entries in L_i per monomial of
+    its columns, so L_i has cols * |E| entries."""
+    check_element_cap("moment graph", g)
     for i in range(max_degree + 1):
         rows, cols = kernel_matrix_shape(g.n, g.num_edges, i)
         check_rank_budget(rows, cols, cols * g.num_edges, field, mem_budget, f"L_{i}")

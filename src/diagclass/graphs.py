@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
+from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -30,7 +31,7 @@ class RankCertificationError(RuntimeError):
 
 
 DEFAULT_MEM_BUDGET = 2 * 1024**3
-# elements an assignment poset, or vertices a moment graph, may have
+# elements an n!-sized structure may have; read by `check_element_cap` alone
 ELEMENT_CAP = 2_000_000
 
 
@@ -113,6 +114,22 @@ class Graph:
                 seen |= comp
                 out.append(comp)
         return out
+
+
+def check_element_cap(structure: str, g: Graph, elements=int, listed: Optional[int] = None) -> None:
+    """The one door of every structure on the n! labellings of a pattern g
+    (the assignment posets, the moment graph), passed before any of it is
+    priced, listed or built: a disconnected g is an input error, and more
+    than ELEMENT_CAP elements are refused.  The count is `elements` (n! by
+    default; nondecreasing) of 1!, 2!, ... in turn, so n! is never
+    multiplied out past the cap; or a total `listed` past the door."""
+    if listed is None:
+        if not g.is_connected():
+            raise GraphInputError(f"{structure} requires a connected pattern")
+        counts = map(elements, accumulate(range(1, g.n + 1), mul))
+        listed = next((c for c in counts if c > ELEMENT_CAP), 0)  # the first past the cap
+    if listed > ELEMENT_CAP:
+        raise ComputationBudgetError(f"{structure} would exceed {ELEMENT_CAP} elements")
 
 
 def make_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:

@@ -17,7 +17,7 @@ from functools import cache, cached_property
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .graphs import ELEMENT_CAP, ComputationBudgetError, Graph, GraphInputError
+from .graphs import Graph, GraphInputError, check_element_cap
 
 Clustering = frozenset[frozenset[int]]
 
@@ -132,11 +132,6 @@ def _face_str(face) -> str:
                    for p in sorted(face, key=sorted))
 
 
-def _require_connected(g: Graph) -> None:
-    if not g.is_connected():
-        raise GraphInputError("this construction requires a connected graph")
-
-
 def all_clusterings(g: Graph, max_rank: Optional[int] = None) -> GradedPoset:
     """Partitions of the vertices into connected blocks, of rank at most
     max_rank (all of them by default), ordered by refinement.
@@ -173,7 +168,8 @@ def all_clusterings(g: Graph, max_rank: Optional[int] = None) -> GradedPoset:
 def clusterings(g: Graph) -> GradedPoset:
     """Lattice of connected partitions, ordered by refinement,
     rank = n - (number of blocks)."""
-    _require_connected(g)
+    if not g.is_connected():
+        raise GraphInputError("this construction requires a connected graph")
     return all_clusterings(g)
 
 
@@ -195,8 +191,7 @@ def _edge_subsets(g: Graph, max_rank: Optional[int]) -> tuple[GradedPoset, list[
     carried = 0
     for start, d, c in kept:
         carried += assignment_multiplicity(c, g.n)
-        if carried > ELEMENT_CAP:
-            raise _over_cap("graphic")
+        check_element_cap("graphicahedron", g, listed=carried)
         for pos in range(start, len(edges)):
             bi, bj = (next(b for b in c if v in b) for v in edges[pos])
             merged = c if bi is bj else frozenset((c - {bi, bj}) | {bi | bj})
@@ -210,29 +205,23 @@ def _edge_subsets(g: Graph, max_rank: Optional[int]) -> tuple[GradedPoset, list[
     return GradedPoset(labels=labels, rank=ranks, covers=covers), found
 
 
-def _over_cap(kind: str) -> ComputationBudgetError:
-    name = "cluster-permutohedron" if kind == "cluster" else "graphicahedron"
-    return ComputationBudgetError(f"{name} would exceed {ELEMENT_CAP} elements")
-
-
 def _face_lattice(g: Graph, kind: str, max_rank: Optional[int]) -> tuple[GradedPoset, list[Clustering]]:
     """The faces of the "cluster" or "graphic" assignment poset of rank at
     most max_rank, with the clustering of each face.
 
-    The poset is refused, before it is counted or built, once its faces
-    carry more than ELEMENT_CAP assignments, its elements.  The discrete
-    face alone carries n!, so n >= 10 is refused before any face is
-    listed; edge subsets are refused while they are listed, clusterings
-    once they are.
+    The poset's elements are the assignments its faces carry, held to
+    ELEMENT_CAP by `check_element_cap`: before any face is listed, the
+    discrete face's n! and, unless max_rank is 0, the |E| single-edge faces'
+    n!/2 each, so n >= 10 and K9 are refused at once; then edge subsets
+    while they are listed, clusterings once they are.
     """
-    _require_connected(g)
-    if math.factorial(g.n) > ELEMENT_CAP:
-        raise _over_cap(kind)
+    name = "cluster-permutohedron" if kind == "cluster" else "graphicahedron"
+    edges = 0 if max_rank == 0 else g.num_edges
+    check_element_cap(name, g, lambda labellings: labellings + labellings // 2 * edges)
     if kind == "graphic":
         return _edge_subsets(g, max_rank)
     lattice = all_clusterings(g, max_rank)
-    if sum(assignment_multiplicity(c, g.n) for c in lattice.labels) > ELEMENT_CAP:
-        raise _over_cap(kind)
+    check_element_cap(name, g, listed=sum(assignment_multiplicity(c, g.n) for c in lattice.labels))
     return lattice, lattice.labels
 
 

@@ -43,6 +43,7 @@ CYCLE7 = "7 7\n" + "".join(f"{i} {i % 7 + 1}\n" for i in range(1, 8))
 CYCLE9 = "9 9\n" + "".join(f"{i} {i % 9 + 1}\n" for i in range(1, 10))
 # C30 with vertex k relabelled to 1 + 7k mod 30 (7 is prime to 30)
 CYCLE30 = "30 30\n" + "".join(f"{1 + 7 * i % 30} {1 + 7 * (i + 1) % 30}\n" for i in range(30))
+CYCLE1000 = "1000 1000\n" + "".join(f"{i} {i % 1000 + 1}\n" for i in range(1, 1001))
 BULL = "5 5\n1 2\n1 3\n2 3\n1 4\n2 5\n"
 
 
@@ -51,7 +52,7 @@ def complete(n: int) -> str:
         f"{i} {j}\n" for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
-K6, K7, K10, K11 = map(complete, (6, 7, 10, 11))
+K6, K7, K8, K9, K10, K11 = map(complete, (6, 7, 8, 9, 10, 11))
 # the staircase h = (3, 4, 5, 6, 6, 6) with vertex k relabelled (5, 2, 6, 1, 4, 3)[k-1]
 STAIRCASE = "6 9\n2 5\n5 6\n2 6\n2 1\n6 1\n6 4\n1 4\n1 3\n4 3\n"
 
@@ -255,14 +256,27 @@ def test_formality_net_verdict_does_not_depend_on_the_budget(runner):
 
 
 def test_formality_long_cycle_is_undetermined(runner):
-    for text, kind in ((CYCLE9, "Cycle(9)"), (CYCLE30, "Cycle(30)")):
+    # from n = 10 on, the witness's model graph is over the element cap for
+    # every strategy, refused at the door before any map is priced: on C1000
+    # pricing L_0 made integers too long to print.  C1000's recognition
+    # takes longer than the others', so it has its own bound
+    over_cap = [
+        {"strategy": strategy, "refused": f"{structure} would exceed 2000000 elements"}
+        for strategy, structure in (("skeleton_homology", "cluster-permutohedron"),
+                                    ("total_betti_mismatch", "moment graph"),
+                                    ("abfp_inconsistency", "moment graph"))
+    ]
+    for text, kind, seconds in ((CYCLE9, "Cycle(9)", 1.0), (CYCLE30, "Cycle(30)", 1.0),
+                                (CYCLE1000, "Cycle(1000)", 5.0)):
         start = time.perf_counter()
         res = runner.invoke(main, ["formality", "-"], input=text)
-        assert time.perf_counter() - start < 1.0
+        assert time.perf_counter() - start < seconds
         assert res.exit_code == EXIT_BUDGET
         out = json.loads(res.stdout)
         assert out["verdict"] == "undetermined"
         assert out["witness"]["kind"] == kind
+        if kind != "Cycle(9)":
+            assert out["attempts"] == over_cap
 
 
 def test_formality_undetermined_says_why(runner):
@@ -404,9 +418,11 @@ def _limit_address_space():
          3.0),
         ("cluster", "f2", K10, "cluster-permutohedron would exceed 2000000 elements", 1.0),
         ("cluster", "f2", K11, "cluster-permutohedron would exceed 2000000 elements", 1.0),
+        ("cluster", "f2", K9, "cluster-permutohedron would exceed 2000000 elements", 0.5),
+        ("graphic", "f2", K8, "graphicahedron would exceed 2000000 elements", 1.0),
     ],
     ids=["f2-cycle7", "z-cycle6", "graphic-f2-cycle6", "graphic-f2-cycle7", "graphic-f2-k6",
-         "f2-k10", "f2-k11"],
+         "f2-k10", "f2-k11", "f2-k9", "graphic-f2-k8"],
 )
 def test_clusterperm_refuses_from_face_counts(poset, coeff, stdin, message, seconds):
     # built, the C7 order complexes exhaust the address space and the C6
@@ -414,7 +430,10 @@ def test_clusterperm_refuses_from_face_counts(poset, coeff, stdin, message, seco
     # K6's 32,768 edge subsets make its deeper face counts take most of a
     # minute, and its d_1 is refused from the vertex and edge counts, so
     # no deeper count is made.  K10's discrete face alone carries 10!
-    # assignments, so K10 and K11 are refused before any face is listed
+    # assignments, so K10 and K11 are refused before any face is listed, and
+    # so is K9, whose discrete and single-edge faces carry 9! (1 + 36/2).
+    # K8's carry 8! (1 + 28/2) = 604,800, under the cap: its graphicahedron
+    # is refused while its edge subsets are listed
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "diagclass.cli", "clusterperm", "-", "--poset", poset,
@@ -463,6 +482,24 @@ def test_gkm_budget_exit(runner):
         "budget exceeded: L_3 needs a 75600x40320 matrix "
         "(13019694976 bytes for its rank over Q), budget 2147483648\n"
     )
+    # P1000's n! moment graph is refused at the door, before any L_i is
+    # priced: pricing L_0 made integers too long to print
+    path1000 = "1000 999\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 1000))
+    start = time.perf_counter()
+    res = runner.invoke(main, ["gkm", "-"], input=path1000)
+    assert time.perf_counter() - start < 0.5
+    assert (res.exit_code, res.stdout) == (EXIT_BUDGET, "")
+    assert res.stderr == "budget exceeded: moment graph would exceed 2000000 elements\n"
+
+
+def test_gkm_disconnected_pattern_is_input_error(runner):
+    # a path on 1..11 and an isolated vertex 12: the door's first check
+    # refuses it, before the over-cap 12! is met or any L_i is priced
+    pattern = "12 10\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 11))
+    res = runner.invoke(main, ["gkm", "-"], input=pattern)
+    assert res.exit_code == EXIT_INPUT
+    assert res.stdout == ""
+    assert res.stderr == "input error: moment graph requires a connected pattern\n"
 
 
 def test_adi_command(runner):
@@ -584,7 +621,8 @@ def test_closed_stdout_exits_quietly():
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
     )
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert err == b""
 

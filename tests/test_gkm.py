@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from diagclass import gkm
+from diagclass import gkm, graphs
 from diagclass.gkm import (
     GkmGraph,
     build_gkm_graph,
@@ -60,7 +60,7 @@ def test_build_gkm_graph_requires_connected():
 
 
 def test_build_gkm_graph_refuses_over_the_element_cap(monkeypatch):
-    monkeypatch.setattr(gkm, "ELEMENT_CAP", 5)
+    monkeypatch.setattr(graphs, "ELEMENT_CAP", 5)
     with pytest.raises(ComputationBudgetError, match="^moment graph would exceed 5 elements$"):
         build_gkm_graph(K3)  # 3! = 6 vertices
 

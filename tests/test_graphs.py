@@ -11,9 +11,11 @@ import pytest
 
 import diagclass
 from diagclass.graphs import (
+    ComputationBudgetError,
     Graph,
     GraphInputError,
     canonical_form,
+    check_element_cap,
     connected_graphs_up_to_iso,
     find_forbidden_induced,
     induced_subgraph,
@@ -85,6 +87,30 @@ def test_components_in_order_of_least_vertex():
         expected = sorted(nx.connected_components(to_nx(g)), key=min)
         assert g.components() == expected
         assert g.is_connected() == (len(expected) == 1)
+
+
+class _Connected:
+    """A connected pattern on n vertices as the element-cap door sees it,
+    with no edges held."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def is_connected(self):
+        return True
+
+
+def test_element_cap_door():
+    # 10^6! has over five million digits and takes seconds to multiply out;
+    # the door stops at 10! = 3,628,800, the first factorial past the cap
+    start = time.perf_counter()
+    with pytest.raises(ComputationBudgetError, match="^moment graph would exceed 2000000 elements$"):
+        check_element_cap("moment graph", _Connected(10**6))
+    assert time.perf_counter() - start < 0.1
+    check_element_cap("moment graph", _Connected(9))  # 9! = 362,880
+    check_element_cap("graphicahedron", _Connected(12), listed=2_000_000)
+    with pytest.raises(ComputationBudgetError, match="^graphicahedron would exceed"):
+        check_element_cap("graphicahedron", _Connected(1), listed=2_000_001)
 
 
 def test_forbidden_witnesses():

@@ -5,6 +5,7 @@ from itertools import combinations, islice
 import networkx as nx
 import pytest
 
+import diagclass.graphs as graphs
 import diagclass.posets as posets
 from diagclass.graphs import (
     GraphInputError,
@@ -174,7 +175,7 @@ def test_cluster_permutohedron_element_count_formula():
 
 
 def test_cluster_permutohedron_budget(monkeypatch):
-    monkeypatch.setattr(posets, "ELEMENT_CAP", 10)
+    monkeypatch.setattr(graphs, "ELEMENT_CAP", 10)
     with pytest.raises(ComputationBudgetError):
         cluster_permutohedron(named_graph("complete", 4))
 
